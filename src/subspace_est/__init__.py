@@ -9,8 +9,8 @@ from .entropy import (EntropyEstimate, PackingSet, covering_number_estimate,
                       dudley_estimate, greedy_local_packing,
                       sign_packing_construction, sparse_packing_construction,
                       vg_codebook)
-from .errors import (BudgetExhausted, ConstraintViolation, DegenerateInput,
-                     DimensionMismatch, InfeasibleParameters,
+from .errors import (BoundViolated, BudgetExhausted, ConstraintViolation,
+                     DegenerateInput, DimensionMismatch, InfeasibleParameters,
                      NotPositiveDefinite, RankDeficient, SubspaceEstError,
                      TooFewRows, TooLarge)
 from .estimators import (EstimatorConfig, IterationResult, estimate,
@@ -30,7 +30,7 @@ from .models import (ModelSpec, SampledInstance, kl_denoising_fixed,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExhausted", "ConstraintSet", "ConstraintViolation",
+    "BoundViolated", "BudgetExhausted", "ConstraintSet", "ConstraintViolation",
     "DegenerateInput", "DimensionMismatch", "EntropyEstimate",
     "EstimatorConfig", "InfeasibleParameters", "IterationResult", "ModelSpec",
     "NotPositiveDefinite", "OrthonormalFrame", "PackingSet",

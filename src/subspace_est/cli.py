@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import constraints, entropy, estimators, harness, models
-from .errors import (BudgetExhausted, ConstraintViolation, DegenerateInput,
-                     DimensionMismatch, InfeasibleParameters,
+from .errors import (BoundViolated, BudgetExhausted, ConstraintViolation,
+                     DegenerateInput, DimensionMismatch, InfeasibleParameters,
                      NotPositiveDefinite, RankDeficient, TooFewRows, TooLarge)
 from .geometry import subspace_distance
 from .matio import format_float, read_matrix, write_matrix
@@ -28,7 +28,7 @@ from .matio import format_float, read_matrix, write_matrix
 VERSION = "subspace-est 0.1.0"
 
 _NUMERICAL_ERRORS = (RankDeficient, DegenerateInput, NotPositiveDefinite,
-                     TooFewRows, BudgetExhausted)
+                     TooFewRows, BudgetExhausted, BoundViolated)
 _USAGE_ERRORS = (TooLarge, DimensionMismatch, ConstraintViolation,
                  InfeasibleParameters, ValueError)
 
@@ -67,7 +67,7 @@ _KEYSPECS = {
         "max_iter": ("int", 200, False), "tol": ("float", 1e-8, False),
         "init": ("str", "spectral", False), "init_seed": ("int", 0, False),
         "trials": ("int", None, True), "seed": ("int", 0, False),
-        "threads": ("int", None, False), "out": ("str", None, True),
+        "out": ("str", None, True),
     },
     "sweep": {
         "family": ("str", None, True), "p1": ("int", None, False),
@@ -78,7 +78,7 @@ _KEYSPECS = {
         "max_iter": ("int", 200, False), "tol": ("float", 1e-8, False),
         "init": ("str", "spectral", False), "init_seed": ("int", 0, False),
         "trials": ("int", None, True), "seed": ("int", 0, False),
-        "threads": ("int", None, False), "out": ("str", None, True),
+        "out": ("str", None, True),
         "t_grid": ("float_list", None, False),
         "sigma_grid": ("float_list", None, False),
         "p1_grid": ("int_list", None, False), "p2_grid": ("int_list", None, False),
@@ -98,7 +98,7 @@ _KEYSPECS = {
         "trials": ("int", None, True), "seed": ("int", 0, False),
         "max_iter": ("int", 200, False), "tol": ("float", 1e-8, False),
         "init": ("str", "spectral", False), "init_seed": ("int", 0, False),
-        "threads": ("int", None, False), "out": ("str", None, True),
+        "out": ("str", None, True),
     },
 }
 
@@ -187,31 +187,6 @@ def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _threads(resolved: dict) -> int:
-    value = resolved.get("threads")
-    if value is None:
-        env = os.environ.get("SUBSPACE_EST_THREADS")
-        if env is not None:
-            value = _convert("threads", "int", env)
-    if value is None:
-        value = os.cpu_count() or 1
-    return max(1, int(value))
-
-
-def _frame_dim(family: str, resolved: dict) -> int:
-    if family == models.DENOISING:
-        dim = resolved.get("p1")
-    elif family in (models.WISHART, models.WIGNER):
-        dim = resolved.get("p")
-    elif family == models.CLUSTERING:
-        dim = resolved.get("n")
-    else:
-        raise _UsageError(f"unknown family {family!r}")
-    if dim is None:
-        raise _UsageError(f"family {family} needs its dimension flags")
-    return int(dim)
 
 
 def _build_model(resolved: dict, rank: int, t: float) -> models.ModelSpec:
@@ -317,8 +292,7 @@ def _cmd_risk(args) -> int:
     model = _build_model(resolved, resolved["r"], resolved["t"])
     cset = _build_constraint(resolved, model.frame_dim, model.rank)
     config = _estimator_config(resolved)
-    estimate = harness.monte_carlo_risk(model, cset, config, resolved["trials"],
-                                        threads=_threads(resolved))
+    estimate = harness.monte_carlo_risk(model, cset, config, resolved["trials"])
     out_dir = resolved["out"]
     _ensure_out_dir(out_dir)
     _write_json(os.path.join(out_dir, "risk.json"), {
@@ -351,8 +325,7 @@ def _cmd_sweep(args) -> int:
     model = _build_model(resolved, resolved["r"], float(base_t))
     cset = _build_constraint(resolved, model.frame_dim, model.rank)
     config = _estimator_config(resolved)
-    rows = harness.sweep(grid, model, cset, config, resolved["trials"],
-                         threads=_threads(resolved))
+    rows = harness.sweep(grid, model, cset, config, resolved["trials"])
     out_dir = resolved["out"]
     _ensure_out_dir(out_dir)
     harness.write_sweep_csv(os.path.join(out_dir, "sweep.csv"), rows)

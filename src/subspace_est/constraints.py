@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, RankDeficient
-from .geometry import OrthonormalFrame, orthonormalize
+from .geometry import OrthonormalFrame, _as_matrix, orthonormalize
 
 SPARSE = "sparse"
 NONNEG = "nonneg"
@@ -80,15 +80,6 @@ def signs(n: int) -> ConstraintSet:
 
 def unconstrained(p: int, r: int) -> ConstraintSet:
     return ConstraintSet(UNCONSTRAINED, p, r)
-
-
-def _as_matrix(u) -> np.ndarray:
-    if isinstance(u, OrthonormalFrame):
-        return u.values
-    m = np.asarray(u, dtype=float)
-    if m.ndim == 1:
-        m = m[:, None]
-    return m
 
 
 def contains(cset: ConstraintSet, frame: OrthonormalFrame, tol: float = 1e-8) -> bool:

@@ -246,42 +246,50 @@ def greedy_local_packing(cset: constraints.ConstraintSet, center: OrthonormalFra
                       members=members, alpha=alpha)
 
 
-def _pair_distance(a, b) -> float:
-    if isinstance(a, OrthonormalFrame) or isinstance(b, OrthonormalFrame):
-        return subspace_distance(a, b)
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
+def _greedy_net_counts(grid, size: int, rows) -> np.ndarray:
+    """Nested greedy net sizes over size points, one per scale in grid.
 
-
-def covering_number_estimate(sampler, epsilon: float, budget: int = 2000,
-                             seed: int = 0) -> int:
-    """Greedy net size over budget sampler draws: a lower covering estimate.
-
-    sampler(seed) must return either an OrthonormalFrame (projector metric)
-    or a plain array (Frobenius metric).  A draw is admitted as a new net
-    center whenever it is at least epsilon away from all current centers.
+    rows(j) returns the distances from point j to every point.  The grid is
+    swept from its largest scale down and each net grows out of the previous
+    one: the first point at least eps from every center becomes a center,
+    which in draw order is the sequential greedy net.  Counts are therefore
+    non-increasing in epsilon by construction.
     """
-    child_seeds = np.random.SeedSequence(int(seed)).generate_state(budget, np.uint64)
-    centers = []
-    for s in child_seeds:
-        cand = sampler(int(s))
-        if all(_pair_distance(cand, c) >= epsilon for c in centers):
-            centers.append(cand)
-    return len(centers)
+    min_dist = np.full(size, np.inf)
+    is_center = np.zeros(size, dtype=bool)
+    counts = np.zeros(len(grid), dtype=np.int64)
+    for level in range(len(grid) - 1, -1, -1):
+        eps = grid[level]
+        while True:
+            eligible = np.nonzero(~is_center & (min_dist >= eps))[0]
+            if eligible.size == 0:
+                break
+            j = int(eligible[0])
+            is_center[j] = True
+            np.minimum(min_dist, rows(j), out=min_dist)
+        counts[level] = int(np.count_nonzero(is_center))
+    return counts
 
 
-def tangent_sampler(cset: constraints.ConstraintSet, center: OrthonormalFrame):
-    """Sampler over T(cset, center): normalized projector differences of
-    random members, skipping draws aligned with the center."""
-    def draw(seed):
-        rng = constraints.as_generator(seed)
-        for _ in range(64):
-            w = constraints.random_member(cset, rng)
-            dist = subspace_distance(w, center)
-            if dist >= 1e-9:
-                diff = w.values @ w.values.T - center.values @ center.values.T
-                return diff / dist
-        raise BudgetExhausted("could not draw a member away from the center")
-    return draw
+def covering_number_estimate(cset: constraints.ConstraintSet, epsilon: float,
+                             budget: int = 2000, seed: int = 0) -> int:
+    """Greedy net size over budget random members: a lower covering estimate.
+
+    Members are drawn from one seeded stream and compared in the projector
+    metric; a draw becomes a new net center whenever it is at least epsilon
+    away from all current centers.
+    """
+    rng = constraints.as_generator(seed)
+    stack = np.stack([constraints.random_member(cset, rng).values
+                      for _ in range(budget)])
+    r = stack.shape[2]
+
+    def rows(j):
+        cross = np.einsum("bpr,ps->brs", stack, stack[j], optimize=True)
+        inner = np.sum(cross * cross, axis=(1, 2))
+        return np.sqrt(np.clip(2.0 * (r - inner), 0.0, None))
+
+    return int(_greedy_net_counts([epsilon], budget, rows)[0])
 
 
 def _draw_tangent_stack(cset, center, budget, rng):
@@ -324,11 +332,10 @@ def dudley_estimate(cset: constraints.ConstraintSet, center: OrthonormalFrame,
                     seed: int = 0) -> EntropyEstimate:
     """Entropy integrals of T(cset, center) from nested greedy nets.
 
-    Covering counts are computed on one fixed stream of random members,
-    sweeping the grid from its largest scale down and growing each net out of
-    the previous one, which makes the counts non-increasing in epsilon by
-    construction.  Both integrals use the trapezoid rule on the grid; a
-    singleton tangent set (or none at all) gives zero.
+    Covering counts come from nested greedy nets over one fixed stream of
+    random members, so they are non-increasing in epsilon.  Both integrals
+    use the trapezoid rule on the grid; a singleton tangent set (or none at
+    all) gives zero.
     """
     if epsilon_grid is None:
         epsilon_grid = np.geomspace(0.01, math.sqrt(2.0), 24)
@@ -340,20 +347,9 @@ def dudley_estimate(cset: constraints.ConstraintSet, center: OrthonormalFrame,
     counts = np.zeros(grid.size, dtype=np.int64)
     if drawn is not None:
         stack, overlaps, norms = drawn
-        b = stack.shape[0]
-        min_dist = np.full(b, np.inf)
-        is_center = np.zeros(b, dtype=bool)
-        for level in range(grid.size - 1, -1, -1):
-            eps = grid[level]
-            while True:
-                eligible = np.nonzero(~is_center & (min_dist >= eps))[0]
-                if eligible.size == 0:
-                    break
-                j = int(eligible[0])
-                is_center[j] = True
-                rows = _tangent_distance_rows(stack, overlaps, norms, j)
-                np.minimum(min_dist, rows, out=min_dist)
-            counts[level] = int(np.count_nonzero(is_center))
+        counts = _greedy_net_counts(
+            grid, stack.shape[0],
+            lambda j: _tangent_distance_rows(stack, overlaps, norms, j))
     logs = np.where(counts > 0, np.log(np.maximum(counts, 1)), 0.0)
     roots = np.sqrt(logs)
     dudley_value = float(np.trapezoid(roots, grid))

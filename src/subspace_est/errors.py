@@ -39,3 +39,7 @@ class InfeasibleParameters(SubspaceEstError):
 
 class BudgetExhausted(SubspaceEstError):
     """A randomized search ran out of draws before reaching its target."""
+
+
+class BoundViolated(SubspaceEstError):
+    """A computed value breaks a bound that holds in exact arithmetic."""

@@ -161,18 +161,13 @@ def projection_matrix(u) -> np.ndarray:
     return m @ m.T
 
 
-def quadratic_form_gap(u, spectrum: SpectrumSpec, w, mode: str = "squared",
-                       noise_var: float = 0.0) -> float:
+def quadratic_form_gap(u, spectrum: SpectrumSpec, w, mode: str = "squared") -> float:
     """Trace inner product of a spectral form of u against the projector gap.
 
-    mode "squared" gives < U G^2 U', U U' - W W' > for G = diag(spectrum),
-    mode "linear" replaces G^2 by G, and mode "shifted" adds noise_var * I to
-    the linear form.  Since the projector gap is trace-free the shift
-    contributes nothing beyond rounding; it is kept explicit so that tests can
-    confirm the cancellation.  The squared mode is sandwiched between
+    mode "squared" gives < U G^2 U', U U' - W W' > for G = diag(spectrum), and
+    mode "linear" replaces G^2 by G.  The squared mode is sandwiched between
     (lambda_r^2 / 2) d^2 and (lambda_1^2 / 2) d^2 with d the projector
-    distance, and the linear and shifted modes likewise with lambda / 2
-    factors.
+    distance, and the linear mode likewise with lambda / 2 factors.
     """
     a, b = _as_matrix(u), _as_matrix(w)
     if a.shape != b.shape:
@@ -182,14 +177,10 @@ def quadratic_form_gap(u, spectrum: SpectrumSpec, w, mode: str = "squared",
     lam = spectrum.array
     if mode == "squared":
         weights = lam * lam
-    elif mode in ("linear", "shifted"):
+    elif mode == "linear":
         weights = lam
     else:
         raise ValueError(f"unknown mode {mode!r}")
     cross = a.T @ b
     captured = np.sum(cross * cross, axis=1)  # diag of (U'W)(U'W)'
-    value = float(np.sum(weights * (1.0 - captured)))
-    if mode == "shifted":
-        # exactly zero in theory: tr(UU' - WW') = r - r
-        value += noise_var * (float(np.trace(a.T @ a)) - float(np.trace(b.T @ b)))
-    return value
+    return float(np.sum(weights * (1.0 - captured)))

@@ -15,13 +15,12 @@ import csv
 import dataclasses
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import constraints, estimators, models
-from .errors import DegenerateInput, DimensionMismatch
+from .errors import BoundViolated, DegenerateInput, DimensionMismatch
 from .geometry import subspace_distance
 
 _CSV_FIELDS = ("family", "p1", "p2", "n", "p", "r", "k", "t", "sigma",
@@ -134,31 +133,21 @@ def run_trial(model: models.ModelSpec, cset: constraints.ConstraintSet,
     # loss is bounded by the projector-metric diameter of O(p, r)
     bound = math.sqrt(2.0 * model.rank) + 1e-9
     if dist > bound:
-        raise AssertionError(f"loss {dist} exceeds diameter bound {bound}")
+        raise BoundViolated(f"loss {dist} exceeds diameter bound {bound}")
     return float(dist)
 
 
-def _map_trials(fn, count: int, threads: int):
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def monte_carlo_risk(model: models.ModelSpec, cset: constraints.ConstraintSet,
-                     config: estimators.EstimatorConfig, trials: int,
-                     threads: int = 1) -> RiskEstimate:
+                     config: estimators.EstimatorConfig, trials: int) -> RiskEstimate:
     """Mean and standard error of the loss over independent trial streams.
 
-    Trial i always uses the stream (model.seed, i), and losses are aggregated
-    in trial order, so the result is bit-identical however many workers run
-    and the first half of a doubled run reproduces exactly.
+    Trial i always uses the stream (model.seed, i) and trials run in trial
+    order, so the result is a pure function of the inputs and the first half
+    of a doubled run reproduces exactly.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    losses = _map_trials(lambda i: run_trial(model, cset, config, i),
-                         trials, threads)
-    arr = np.asarray(losses)
+    arr = np.asarray([run_trial(model, cset, config, i) for i in range(trials)])
     mean = float(np.mean(arr))
     sd = float(np.std(arr, ddof=1))
     return RiskEstimate(mean_distance=mean, stderr=sd / math.sqrt(trials),
@@ -226,8 +215,7 @@ _KNOBS = ("t", "sigma", "p1", "p2", "n", "p", "k", "r")
 
 
 def sweep(grid, base_model: models.ModelSpec, cset: constraints.ConstraintSet,
-          config: estimators.EstimatorConfig, trials: int,
-          threads: int = 1) -> list:
+          config: estimators.EstimatorConfig, trials: int) -> list:
     """One risk estimate per grid assignment, tagged with theory_rate.
 
     Each grid entry maps knob names (among t, sigma, p1, p2, n, p, k, r) to
@@ -256,7 +244,7 @@ def sweep(grid, base_model: models.ModelSpec, cset: constraints.ConstraintSet,
         model = dataclasses.replace(base_model, **changes)
         row_cset = _rebuild_constraint(cset, model.frame_dim, rank,
                                        assignment.get("k"))
-        risk = monte_carlo_risk(model, row_cset, config, trials, threads)
+        risk = monte_carlo_risk(model, row_cset, config, trials)
         rows.append(SweepRow(
             family=model.family, r=model.rank, t=model.spectrum.scale,
             sigma=model.noise_sd, trials=trials, seed=model.seed,

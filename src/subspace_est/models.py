@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constraints
-from .errors import (ConstraintViolation, DimensionMismatch, NotPositiveDefinite,
-                     TooFewRows)
+from .errors import (BoundViolated, ConstraintViolation, DimensionMismatch,
+                     NotPositiveDefinite, TooFewRows)
 from .geometry import OrthonormalFrame, SpectrumSpec, procrustes_align
 
 DENOISING = "denoising"
@@ -236,5 +236,7 @@ def kl_denoising_fixed(ui: OrthonormalFrame, uj: OrthonormalFrame,
     diff = (ui.values - uj.values @ rotation) * spectrum.array
     value = float(np.sum(diff * diff)) / (2.0 * sigma * sigma)
     lam1 = spectrum.values[0]
-    assert value <= (lam1 * residual) ** 2 / (2.0 * sigma * sigma) + 1e-9
+    bound = (lam1 * residual) ** 2 / (2.0 * sigma * sigma)
+    if value > bound + 1e-9:
+        raise BoundViolated(f"KL {value} exceeds its residual bound {bound}")
     return value

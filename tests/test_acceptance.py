@@ -219,7 +219,7 @@ def test_06_phase_transition_nonneg_rank_one(capsys):
     # and slope_high -1.07.
     #
     # Measured on 2 CPUs: t_break 400.0, slope_low -1.791, slope_high -1.077
-    # in 87.6 s.  Seeds 7 and 1000 at 100 trials per point give slope_low
+    # in 72.7 s.  Seeds 7 and 1000 at 100 trials per point give slope_low
     # -1.771 / -1.753, slope_high -1.066 / -1.077 and t_break 400.0, so the
     # pass does not hang on the seed.
     start = time.perf_counter()
@@ -228,8 +228,7 @@ def test_06_phase_transition_nonneg_rank_one(capsys):
                             seed=6, p1=p1, p2=p2)
     cset = constraints.nonneg(p1, 1)
     grid = [{"t": float(t)} for t in np.geomspace(40.0, 4000.0, 12)]
-    rows = harness.sweep(grid, base, cset, EstimatorConfig(), trials=200,
-                         threads=4)
+    rows = harness.sweep(grid, base, cset, EstimatorConfig(), trials=200)
     fit = harness.detect_phase_transition(rows)
     elapsed = time.perf_counter() - start
     break_lo, break_hi = math.sqrt(p2) / 3.0, 3.0 * math.sqrt(p2)
@@ -277,7 +276,7 @@ def test_07_sparse_rate_shape(capsys):
                                  1.0, seed=21, p1=200, p2=100)
         cset = constraints.sparse(200, 1, k)
         risks.append(harness.monte_carlo_risk(
-            model, cset, EstimatorConfig(), trials=300, threads=4).mean_distance)
+            model, cset, EstimatorConfig(), trials=300).mean_distance)
     xs = np.array([math.sqrt(k * math.log(math.e * 200 / k)) + math.sqrt(k)
                    for k in ks])
     fit = harness.fit_rate(xs, np.asarray(risks))
@@ -307,7 +306,7 @@ def test_08_clustering_consistency_limit(capsys):
         model = models.ModelSpec("clustering", 1, SpectrumSpec.flat(t, 1),
                                  1.0, seed=11, n=n, p=p)
         out[name] = harness.monte_carlo_risk(
-            model, cset, EstimatorConfig(), trials=200, threads=4).mean_distance
+            model, cset, EstimatorConfig(), trials=200).mean_distance
     elapsed = time.perf_counter() - start
     ok = out["weak"] >= 5.0 * out["strong"] and elapsed < 300.0
     _report(capsys, 8, ok, "clustering consistency limit",

@@ -102,6 +102,23 @@ def test_unknown_config_key_exit_two(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("family=wigner\nbogus_knob=3\n")
     assert main(["simulate", "--config", str(cfg)]) == 2
+    # the risk command has no threads key: trials run in one loop
+    risk_cfg = tmp_path / "risk.cfg"
+    risk_cfg.write_text(
+        "family=wigner\np=8\nr=1\nt=6\nsigma=1\nconstraint=none\n"
+        f"trials=4\nthreads=2\nout={tmp_path / 'risk'}\n")
+    assert main(["risk", "--config", str(risk_cfg)]) == 2
+    assert not (tmp_path / "risk").exists()
+
+
+def test_risk_loss_above_diameter_exit_four(tmp_path, monkeypatch, capsys):
+    from subspace_est import harness
+    monkeypatch.setattr(harness, "subspace_distance", lambda a, b: 2.0)
+    argv = ["risk", "--family", "wigner", "--p", "8", "--r", "1", "--t", "6",
+            "--sigma", "1", "--constraint", "none", "--trials", "4",
+            "--out", str(tmp_path / "risk")]
+    assert main(argv) == 4
+    assert "BoundViolated" in capsys.readouterr().err
 
 
 def test_missing_input_exit_three(tmp_path):

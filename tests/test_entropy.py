@@ -9,17 +9,10 @@ from subspace_est.entropy import (EntropyEstimate, PackingSet,
                                   covering_number_estimate, dudley_estimate,
                                   greedy_local_packing,
                                   sign_packing_construction,
-                                  sparse_packing_construction, tangent_sampler,
-                                  vg_codebook)
+                                  sparse_packing_construction, vg_codebook)
 from subspace_est.errors import BudgetExhausted, InfeasibleParameters
 from subspace_est.geometry import OrthonormalFrame, subspace_distance
 from subspace_est.matio import read_matrix
-
-
-def _frame_sampler(cset):
-    def draw(seed):
-        return constraints.random_member(cset, seed)
-    return draw
 
 
 def _hamming(a, b):
@@ -161,29 +154,43 @@ def test_greedy_local_packing_vacuous_separation_admits_all():
 
 
 def test_covering_estimate_degenerate_cases():
-    wide = _frame_sampler(constraints.unconstrained(6, 1))
+    wide = constraints.unconstrained(6, 1)
     assert covering_number_estimate(wide, 2.0, budget=200, seed=0) == 1
     # p = 1 sign vectors all span the same line
-    singleton = _frame_sampler(constraints.signs(1))
+    singleton = constraints.signs(1)
     for eps in (1e-6, 0.1, 1.0):
         assert covering_number_estimate(singleton, eps, budget=100, seed=0) == 1
 
 
 def test_covering_estimate_monotone_in_epsilon():
-    sampler = _frame_sampler(constraints.signs(16))
-    counts = [covering_number_estimate(sampler, eps, budget=400, seed=0)
+    cset = constraints.signs(16)
+    counts = [covering_number_estimate(cset, eps, budget=400, seed=0)
               for eps in (1.3, 1.0, 0.7, 0.4)]
     assert counts == sorted(counts)
     assert counts[0] >= 2
-    assert covering_number_estimate(sampler, 1.3, budget=400, seed=0) == counts[0]
+    assert covering_number_estimate(cset, 1.3, budget=400, seed=0) == counts[0]
 
 
 def test_covering_packing_sandwich_same_stream():
-    sampler = _frame_sampler(constraints.signs(16))
+    cset = constraints.signs(16)
     for eps in (0.35, 0.5, 0.65):
-        coarse = covering_number_estimate(sampler, 2 * eps, budget=400, seed=0)
-        fine = covering_number_estimate(sampler, eps, budget=400, seed=0)
+        coarse = covering_number_estimate(cset, 2 * eps, budget=400, seed=0)
+        fine = covering_number_estimate(cset, eps, budget=400, seed=0)
         assert coarse <= fine
+
+
+def test_covering_estimate_matches_sequential_greedy_net():
+    # the shared net engine admits draws in stream order, exactly like a
+    # one-pass greedy net in the projector distance
+    cset = constraints.sparse(10, 2, 4)
+    rng = constraints.as_generator(3)
+    draws = [constraints.random_member(cset, rng) for _ in range(150)]
+    for eps in (0.6, 1.0, 1.5):
+        centers = []
+        for w in draws:
+            if all(subspace_distance(w, c) >= eps for c in centers):
+                centers.append(w)
+        assert covering_number_estimate(cset, eps, budget=150, seed=3) == len(centers)
 
 
 def test_local_packing_below_global_packing():
@@ -191,10 +198,9 @@ def test_local_packing_below_global_packing():
     # (log scale) of the global greedy-net count at eps
     cset = constraints.unconstrained(8, 1)
     center = constraints.random_member(cset, 999)
-    sampler = _frame_sampler(cset)
     for seed in range(20):
         local = greedy_local_packing(cset, center, 0.8, 0.5, budget=600, seed=seed)
-        glob = covering_number_estimate(sampler, 0.8, budget=600, seed=seed)
+        glob = covering_number_estimate(cset, 0.8, budget=600, seed=seed)
         assert glob >= 2
         assert math.log(len(local.members)) <= 2.0 * math.log(glob)
 
@@ -215,16 +221,22 @@ def test_local_packing_grassmannian_scaling():
     assert 1.0 / 3.0 <= ratio <= 3.0
 
 
-def test_tangent_sampler_properties():
-    cset = constraints.nonneg(10, 1)
+def test_tangent_distance_rows_match_projector_differences():
+    cset = constraints.nonneg(10, 2)
     center = constraints.random_member(cset, 3)
-    draw = tangent_sampler(cset, center)
-    for seed in range(5):
-        t = draw(seed)
-        assert t.shape == (10, 10)
-        assert np.linalg.norm(t) == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(t - t.T)) <= 1e-12
-        assert abs(np.trace(t)) <= 1e-12
+    stack, overlaps, norms = entropy._draw_tangent_stack(
+        cset, center, 12, constraints.as_generator(4))
+    proj = center.values @ center.values.T
+    tangents = []
+    for w, norm in zip(stack, norms):
+        diff = w @ w.T - proj
+        fro = np.linalg.norm(diff)
+        assert norm == pytest.approx(fro, abs=1e-12)
+        tangents.append(diff / fro)
+    for j in range(len(tangents)):
+        rows = entropy._tangent_distance_rows(stack, overlaps, norms, j)
+        explicit = [np.linalg.norm(t - tangents[j]) for t in tangents]
+        assert rows == pytest.approx(explicit, abs=1e-6)
 
 
 def test_entropy_estimate_validation():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subspace_est import constraints, harness, models
-from subspace_est.errors import DegenerateInput, DimensionMismatch
+from subspace_est.errors import BoundViolated, DegenerateInput, DimensionMismatch
 from subspace_est.estimators import EstimatorConfig
 from subspace_est.geometry import SpectrumSpec, orthonormalize
 from subspace_est.harness import (PhaseTransitionFit, RiskEstimate, SweepRow,
@@ -55,13 +55,12 @@ def test_monte_carlo_risk_aggregation_matches_trials():
     assert half.mean_distance == np.mean(vals[:8])
 
 
-def test_monte_carlo_risk_threads_match_serial():
-    model = _wigner_model(t=2.0, seed=5)
+def test_run_trial_loss_above_diameter_raises(monkeypatch):
+    model = _wigner_model()
     cset = constraints.unconstrained(8, 1)
-    serial = monte_carlo_risk(model, cset, _spectral(), trials=12, threads=1)
-    parallel = monte_carlo_risk(model, cset, _spectral(), trials=12, threads=4)
-    assert serial.mean_distance == parallel.mean_distance
-    assert serial.stderr == parallel.stderr
+    monkeypatch.setattr(harness, "subspace_distance", lambda a, b: 2.0)
+    with pytest.raises(BoundViolated):
+        run_trial(model, cset, _spectral(), 0)
 
 
 def test_monte_carlo_risk_stderr_bound():

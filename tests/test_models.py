@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from subspace_est import constraints, models
-from subspace_est.errors import (ConstraintViolation, DimensionMismatch,
-                                 NotPositiveDefinite,
+from subspace_est.errors import (BoundViolated, ConstraintViolation,
+                                 DimensionMismatch, NotPositiveDefinite,
                                  TooFewRows)
 from subspace_est.estimators import spectral_estimate
 from subspace_est.geometry import (SpectrumSpec, orthonormalize,
@@ -221,3 +221,14 @@ def test_kl_denoising_fixed_matches_vectorized_gaussian():
                                           mean_j, sigma ** 2 * np.eye(dim))
         assert abs(got - want) <= 1e-8 * max(want, 0.0) + 1e-12
         assert got <= (lam[0] * resid) ** 2 / (2 * sigma ** 2) + 1e-9
+
+
+def test_kl_denoising_fixed_above_residual_bound_raises(monkeypatch):
+    rng = np.random.default_rng(23)
+    ui = orthonormalize(rng.standard_normal((5, 1)))
+    uj = orthonormalize(rng.standard_normal((5, 1)))
+    v0 = orthonormalize(rng.standard_normal((4, 1)))
+    rotation, _ = procrustes_align(ui, uj)
+    monkeypatch.setattr(models, "procrustes_align", lambda a, b: (rotation, 0.0))
+    with pytest.raises(BoundViolated):
+        models.kl_denoising_fixed(ui, uj, v0, SpectrumSpec.flat(3.0, 1), 1.0)
