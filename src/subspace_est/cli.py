@@ -198,10 +198,6 @@ def _build_model(resolved: dict, rank: int, t: float) -> models.ModelSpec:
         n=resolved.get("n"), p=resolved.get("p"))
 
 
-def _build_constraint(resolved: dict, frame_dim: int, rank: int):
-    return constraints.parse_constraint(resolved["constraint"], frame_dim, rank)
-
-
 def _estimator_config(resolved: dict) -> estimators.EstimatorConfig:
     return estimators.EstimatorConfig(
         method=resolved["method"], max_iter=resolved["max_iter"],
@@ -212,7 +208,7 @@ def _estimator_config(resolved: dict) -> estimators.EstimatorConfig:
 def _cmd_simulate(args) -> int:
     resolved = _resolve("simulate", args)
     model = _build_model(resolved, resolved["r"], resolved["t"])
-    cset = _build_constraint(resolved, model.frame_dim, model.rank)
+    cset = constraints.parse_constraint(resolved["constraint"], model.frame_dim, model.rank)
     instance = models.sample_instance(model, cset)
     out_dir = resolved["out"]
     _ensure_out_dir(out_dir)
@@ -257,32 +253,20 @@ def _cmd_estimate(args) -> int:
     frame_dim = observation.shape[1] if family == models.WISHART else observation.shape[0]
     rank = int(resolved["r"])
     cset = constraints.parse_constraint(resolved["constraint"], frame_dim, rank)
-    config = _estimator_config(resolved)
     m = estimators.objective_matrix(family, observation)
-    if config.method == estimators.SPECTRAL:
-        frame = constraints.project(cset, estimators.spectral_estimate(m, rank))
-        objective = estimators.objective(frame, m)
-        iterations, converged = 0, True
-    elif config.method == estimators.EXHAUSTIVE:
-        frame = estimators.exhaustive_argmax(cset, m)
-        objective = estimators.objective(frame, m)
-        iterations, converged = 0, True
-    else:
-        result = estimators.iterative_projection_estimate(m, cset, config)
-        frame, objective = result.frame, result.objective
-        iterations, converged = result.iterations, result.converged
+    result = estimators.estimate(m, cset, _estimator_config(resolved))
     d_to_truth = None
     truth_path = os.path.join(in_dir, "U_truth.csv")
     if os.path.exists(truth_path):
         truth = _read_matrix_checked(truth_path)
-        d_to_truth = subspace_distance(frame, truth)
+        d_to_truth = subspace_distance(result.frame, truth)
     out_dir = resolved["out"] or in_dir
     resolved["out"] = out_dir
     _ensure_out_dir(out_dir)
-    write_matrix(os.path.join(out_dir, "U_hat.csv"), frame.values)
+    write_matrix(os.path.join(out_dir, "U_hat.csv"), result.frame.values)
     _write_json(os.path.join(out_dir, "report.json"), {
-        "converged": converged, "d_to_truth": d_to_truth,
-        "iterations": iterations, "objective": objective})
+        "converged": result.converged, "d_to_truth": d_to_truth,
+        "iterations": result.iterations, "objective": result.objective})
     _write_resolved("estimate", out_dir, resolved)
     return 0
 
@@ -290,7 +274,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_risk(args) -> int:
     resolved = _resolve("risk", args)
     model = _build_model(resolved, resolved["r"], resolved["t"])
-    cset = _build_constraint(resolved, model.frame_dim, model.rank)
+    cset = constraints.parse_constraint(resolved["constraint"], model.frame_dim, model.rank)
     config = _estimator_config(resolved)
     estimate = harness.monte_carlo_risk(model, cset, config, resolved["trials"])
     out_dir = resolved["out"]
@@ -323,7 +307,7 @@ def _cmd_sweep(args) -> int:
     if resolved["sigma"] is None:
         resolved["sigma"] = 1.0
     model = _build_model(resolved, resolved["r"], float(base_t))
-    cset = _build_constraint(resolved, model.frame_dim, model.rank)
+    cset = constraints.parse_constraint(resolved["constraint"], model.frame_dim, model.rank)
     config = _estimator_config(resolved)
     rows = harness.sweep(grid, model, cset, config, resolved["trials"])
     out_dir = resolved["out"]

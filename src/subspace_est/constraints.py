@@ -2,11 +2,13 @@
 
 Each set lives inside the orthonormal p x r frames.  `project` maps an
 arbitrary frame (or matrix) to a member, `contains` tests membership, and
-`random_member` draws a member for Monte Carlo work.
+`random_member` draws a member for Monte Carlo work.  `ConstraintSet.rate_term`
+gives the set's entropy term in the minimax rate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +33,7 @@ _NN_MOVE_TOL = 1e-10
 class ConstraintSet:
     """A constraint on p x r orthonormal frames.
 
-    kind is one of "sparse" (each column has at most k nonzero entries),
+    kind is one of "sparse" (at most k rows carry a nonzero entry),
     "nonneg" (all entries >= 0), "subspace" (columns lie in the span of a
     stored p x k basis), "signs" (r = 1, entries all +-1/sqrt(p)), or "none".
     """
@@ -60,6 +62,31 @@ class ConstraintSet:
             object.__setattr__(self, "k", k)
         if self.kind == SIGNS and self.r != 1:
             raise ValueError("sign-vector constraint requires r = 1")
+        if self.kind in (NONNEG, SIGNS, UNCONSTRAINED) and self.k is not None:
+            raise ValueError(f"{self.kind} constraint takes no k, got k={self.k}")
+
+    def rate_term(self, ambient: int) -> tuple:
+        """(term, cap): the set's entropy term in the minimax rate at frame
+        dimension ambient, and the rate's cap, the diameter sqrt(r) of the
+        unconstrained frames and 1 for a structured set."""
+        if self.kind == SPARSE:
+            k = self.k
+            return math.sqrt(k * math.log(math.e * ambient / k)) + math.sqrt(k), 1.0
+        if self.kind == SUBSPACE:
+            return math.sqrt(self.k), 1.0
+        if self.kind == UNCONSTRAINED:
+            return math.sqrt(self.r * ambient), math.sqrt(self.r)
+        return math.sqrt(ambient), 1.0
+
+    def resized(self, p: int, r: int, k: int | None = None) -> ConstraintSet:
+        """The same kind on p x r frames, with k replaced when given.  A stored
+        subspace basis cannot follow a change of dimensions."""
+        if self.kind == SUBSPACE:
+            if (p, r) != (self.p, self.r) or k not in (None, self.k):
+                raise DimensionMismatch(
+                    "subspace constraints cannot be re-dimensioned in a sweep")
+            return self
+        return ConstraintSet(self.kind, p, r, k=self.k if k is None else k)
 
 
 def sparse(p: int, r: int, k: int) -> ConstraintSet:
@@ -91,7 +118,7 @@ def contains(cset: ConstraintSet, frame: OrthonormalFrame, tol: float = 1e-8) ->
     if cset.kind == UNCONSTRAINED:
         return True
     if cset.kind == SPARSE:
-        return bool(np.all(np.sum(np.abs(m) > tol, axis=0) <= cset.k))
+        return bool(np.sum(np.any(np.abs(m) > tol, axis=1)) <= cset.k)
     if cset.kind == NONNEG:
         return bool(np.min(m) >= -tol)
     if cset.kind == SUBSPACE:
@@ -258,8 +285,10 @@ def parse_constraint(text: str, p: int, r: int) -> ConstraintSet:
     "signs", or "none"."""
     from .matio import read_matrix
 
-    head, _, rest = text.partition(":")
+    head, sep, rest = text.partition(":")
     head = head.strip()
+    if sep and head in (UNCONSTRAINED, NONNEG, SIGNS):
+        raise ValueError(f"{head} constraint takes no argument, got {text!r}")
     if head == UNCONSTRAINED:
         return unconstrained(p, r)
     if head == NONNEG:

@@ -171,7 +171,8 @@ def sparse_packing_construction(p1: int, r: int, k: int, epsilon: float,
     from a constant-weight codeword w, alongside a fixed identity block for
     the remaining r - 1 columns, giving pairwise distances above eps / 2 at
     distance exactly sqrt(2) eps from the center.  Feasibility needs
-    k / e <= (p1 - r - 1) / 4 and room for the codeword weight inside k.
+    k / e <= (p1 - r - 1) / 4 and room inside k for the head row, the
+    codeword weight and the r - 1 identity rows.
     """
     if not 0.0 < epsilon <= 1.0:
         raise InfeasibleParameters("epsilon must lie in (0, 1]")
@@ -182,8 +183,9 @@ def sparse_packing_construction(p1: int, r: int, k: int, epsilon: float,
         raise InfeasibleParameters(
             f"need k/e <= (p1 - r - 1)/4, got k={k}, p1={p1}, r={r}")
     weight = max(1, math.floor(k / math.e))
-    if 1 + weight > k:
-        raise InfeasibleParameters(f"k={k} leaves no room for the codeword weight")
+    if weight + r > k:
+        raise InfeasibleParameters(
+            f"k={k} leaves no room for the codeword weight {weight} and r={r}")
     target = math.ceil(math.exp(0.233 * (k / math.e) * math.log(math.e * n_code / k)))
     code = vg_codebook(n_code, weight, budget=budget, seed=seed, target=target)
     head = math.sqrt(1.0 - epsilon * epsilon)

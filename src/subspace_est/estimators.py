@@ -190,14 +190,19 @@ def exhaustive_argmax(cset: constraints.ConstraintSet, m: np.ndarray) -> Orthono
     return OrthonormalFrame(patterns[winner][:, None] / np.sqrt(n))
 
 
-def estimate(instance: models.SampledInstance, cset: constraints.ConstraintSet,
-             config: EstimatorConfig | None = None) -> OrthonormalFrame:
-    """Dispatch on config.method and return a member of cset."""
+def estimate(m: np.ndarray, cset: constraints.ConstraintSet,
+             config: EstimatorConfig | None = None) -> IterationResult:
+    """Dispatch on config.method; the result's frame is a member of cset.
+
+    Spectral truncation and exhaustive search take no power steps: they
+    report 0 iterations, converged, and the one objective value visited.
+    """
     if config is None:
         config = EstimatorConfig()
-    m = build_objective_matrix(instance)
+    if config.method == ITERATIVE:
+        return iterative_projection_estimate(m, cset, config)
     if config.method == SPECTRAL:
-        return constraints.project(cset, spectral_estimate(m, cset.r))
-    if config.method == EXHAUSTIVE:
-        return exhaustive_argmax(cset, m)
-    return iterative_projection_estimate(m, cset, config).frame
+        frame = constraints.project(cset, spectral_estimate(m, cset.r))
+    else:
+        frame = exhaustive_argmax(cset, m)
+    return IterationResult(frame, [objective(frame, m)], 0, True)

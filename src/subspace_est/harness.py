@@ -128,7 +128,8 @@ def run_trial(model: models.ModelSpec, cset: constraints.ConstraintSet,
               config: estimators.EstimatorConfig, trial_index: int) -> float:
     """Loss d(U_hat, U_truth) of one simulated instance on its own stream."""
     instance = models.sample_instance(model, cset, trial_index=trial_index)
-    frame = estimators.estimate(instance, cset, config)
+    m = estimators.build_objective_matrix(instance)
+    frame = estimators.estimate(m, cset, config).frame
     dist = subspace_distance(frame, instance.truth_left)
     # loss is bounded by the projector-metric diameter of O(p, r)
     bound = math.sqrt(2.0 * model.rank) + 1e-9
@@ -155,19 +156,6 @@ def monte_carlo_risk(model: models.ModelSpec, cset: constraints.ConstraintSet,
                         seed=model.seed)
 
 
-def _structure_term(cset: constraints.ConstraintSet, ambient: int) -> float:
-    if cset.kind == constraints.SPARSE:
-        k = cset.k
-        return math.sqrt(k * math.log(math.e * ambient / k)) + math.sqrt(k)
-    if cset.kind == constraints.NONNEG:
-        return math.sqrt(ambient)
-    if cset.kind == constraints.SUBSPACE:
-        return math.sqrt(cset.k)
-    if cset.kind == constraints.SIGNS:
-        return math.sqrt(ambient)
-    return math.sqrt(cset.r * ambient)
-
-
 def theory_rate(model: models.ModelSpec, cset: constraints.ConstraintSet) -> float:
     """Constant-free minimax rate prediction at the model's knobs.
 
@@ -178,7 +166,7 @@ def theory_rate(model: models.ModelSpec, cset: constraints.ConstraintSet) -> flo
     """
     sigma = model.noise_sd
     t = model.spectrum.scale
-    structure = _structure_term(cset, model.frame_dim)
+    structure, cap = cset.rate_term(model.frame_dim)
     if model.family == models.DENOISING:
         base = sigma * math.sqrt(t * t + sigma * sigma * model.p2) / (t * t)
     elif model.family == models.CLUSTERING:
@@ -189,26 +177,7 @@ def theory_rate(model: models.ModelSpec, cset: constraints.ConstraintSet) -> flo
         base = sigma / t
     else:
         raise DimensionMismatch(f"unknown family {model.family!r}")
-    cap = math.sqrt(cset.r) if cset.kind == constraints.UNCONSTRAINED else 1.0
     return min(base * structure, cap)
-
-
-def _rebuild_constraint(cset: constraints.ConstraintSet, ambient: int,
-                        rank: int, k) -> constraints.ConstraintSet:
-    if k is None:
-        k = cset.k
-    if cset.kind == constraints.SPARSE:
-        return constraints.sparse(ambient, rank, k)
-    if cset.kind == constraints.NONNEG:
-        return constraints.nonneg(ambient, rank)
-    if cset.kind == constraints.SIGNS:
-        return constraints.signs(ambient)
-    if cset.kind == constraints.UNCONSTRAINED:
-        return constraints.unconstrained(ambient, rank)
-    # a stored subspace basis cannot follow dimension changes
-    if ambient != cset.p or rank != cset.r or k != cset.k:
-        raise DimensionMismatch("subspace constraints cannot be re-dimensioned in a sweep")
-    return cset
 
 
 _KNOBS = ("t", "sigma", "p1", "p2", "n", "p", "k", "r")
@@ -242,8 +211,7 @@ def sweep(grid, base_model: models.ModelSpec, cset: constraints.ConstraintSet,
             if name in assignment:
                 changes[name] = int(assignment[name])
         model = dataclasses.replace(base_model, **changes)
-        row_cset = _rebuild_constraint(cset, model.frame_dim, rank,
-                                       assignment.get("k"))
+        row_cset = cset.resized(model.frame_dim, rank, assignment.get("k"))
         risk = monte_carlo_risk(model, row_cset, config, trials)
         rows.append(SweepRow(
             family=model.family, r=model.rank, t=model.spectrum.scale,

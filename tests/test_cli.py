@@ -165,6 +165,19 @@ def test_sweep_eight_point_grid(tmp_path):
                          "slope_low", "t_break"}
 
 
+def test_constraint_knob_on_kind_without_one_exit_two(tmp_path):
+    base = ["--family", "wigner", "--p", "8", "--r", "1", "--t", "6",
+            "--sigma", "1", "--trials", "2"]
+    argv = ["sweep", *base, "--constraint", "nonneg", "--k-grid", "3,5",
+            "--out", str(tmp_path / "sweep")]
+    assert main(argv) == 2
+    assert not (tmp_path / "sweep").exists()
+    argv = ["risk", *base, "--constraint", "nonneg:k=3",
+            "--out", str(tmp_path / "risk")]
+    assert main(argv) == 2
+    assert not (tmp_path / "risk").exists()
+
+
 def test_entropy_singleton_dudley_zero(tmp_path):
     out = tmp_path / "ent"
     argv = ["entropy", "--constraint", "signs", "--p", "1", "--r", "1",

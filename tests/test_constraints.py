@@ -7,7 +7,7 @@ from subspace_est.constraints import (ConstraintSet, contains, nonneg,
                                       null_space_basis, parse_constraint,
                                       project, random_member, signs, sparse,
                                       subspace, unconstrained)
-from subspace_est.errors import DimensionMismatch, RankDeficient
+from subspace_est.errors import DegenerateInput, DimensionMismatch, RankDeficient
 from subspace_est.geometry import OrthonormalFrame, orthonormalize, subspace_distance
 from subspace_est.matio import write_matrix
 
@@ -28,6 +28,9 @@ def test_constraint_set_validation():
         sparse(10, 2, 11)  # k > p
     with pytest.raises(ValueError):
         ConstraintSet("signs", 8, 2)
+    for kind in ("nonneg", "signs", "none"):
+        with pytest.raises(ValueError):
+            ConstraintSet(kind, 8, 1, k=3)  # k only sizes sparse sets
     basis = _haar(10, 4, 0)
     with pytest.raises(ValueError):
         subspace(basis, 4)  # needs r < k
@@ -156,7 +159,8 @@ def test_parse_constraint(tmp_path):
     write_matrix(qpath, _haar(10, 4, 6).values)
     got = parse_constraint(f"subspace:qfile={qpath}", 10, 2)
     assert (got.kind, got.k) == ("subspace", 4)
-    for bad in ("sparse:j=4", "subspace:file=x", "bogus"):
+    for bad in ("sparse:j=4", "subspace:file=x", "bogus", "nonneg:k=3",
+                "signs:x", "none:k=1"):
         with pytest.raises(ValueError):
             parse_constraint(bad, 10, 2)
 
@@ -172,3 +176,14 @@ def test_contains_rejections():
     assert not contains(signs(5), OrthonormalFrame(np.eye(5)[:, :1]))
     with pytest.raises(DimensionMismatch):
         contains(signs(5), OrthonormalFrame(np.eye(4)[:, :1]))
+
+
+def test_sparse_contains_counts_support_rows():
+    # two columns on disjoint 2-row supports use 4 rows, more than k = 2
+    values = np.zeros((6, 2))
+    values[[0, 1], 0] = values[[2, 3], 1] = 1.0 / np.sqrt(2.0)
+    split = OrthonormalFrame(values)
+    assert not contains(sparse(6, 2, 2), split)
+    assert contains(sparse(6, 2, 4), split)
+    with pytest.raises(DegenerateInput):
+        project(sparse(6, 2, 2), split)

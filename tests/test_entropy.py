@@ -102,6 +102,9 @@ def test_sparse_packing_guards():
         sparse_packing_construction(12, 1, 8, 0.5)  # k/e > (p1-2)/4
     with pytest.raises(InfeasibleParameters):
         sparse_packing_construction(64, 1, 0, 0.5)
+    with pytest.raises(InfeasibleParameters):
+        # head row, weight-1 codeword and 2 identity rows: 4 rows > k = 3
+        sparse_packing_construction(40, 3, 3, 0.5)
 
 
 def test_sign_packing_construction():

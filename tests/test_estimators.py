@@ -137,11 +137,16 @@ def test_estimate_dispatch_and_determinism():
                             seed=3, p1=12, p2=18)
     cset = constraints.signs(12)
     inst = models.sample_instance(spec, cset)
+    m = build_objective_matrix(inst)
     for method in ("iterative", "exhaustive", "spectral"):
         cfg = EstimatorConfig(method=method)
-        first = estimate(inst, cset, cfg)
-        second = estimate(inst, cset, cfg)
+        first = estimate(m, cset, cfg).frame
+        second = estimate(m, cset, cfg).frame
         assert np.array_equal(first.values, second.values)
         assert constraints.contains(cset, first)
-    strong = estimate(inst, cset, EstimatorConfig(method="exhaustive"))
+    for method in ("exhaustive", "spectral"):
+        result = estimate(m, cset, EstimatorConfig(method=method))
+        assert result.iterations == 0 and result.converged
+        assert result.objective == objective(result.frame, m)
+    strong = estimate(m, cset, EstimatorConfig(method="exhaustive")).frame
     assert subspace_distance(strong, inst.truth_left) <= 0.5

@@ -138,6 +138,9 @@ def test_sweep_rows_and_knobs():
         sweep([], model, cset, _spectral(), trials=4)
     with pytest.raises(ValueError):
         sweep([{"bogus": 1}], model, cset, _spectral(), trials=4)
+    for no_k in (cset, constraints.nonneg(8, 1)):  # k only sizes sparse sets
+        with pytest.raises(ValueError):
+            sweep([{"k": 3}, {"k": 5}], model, no_k, _spectral(), trials=4)
 
 
 def test_sweep_refuses_to_redimension_subspace():
