@@ -294,7 +294,7 @@ def parse_constraint(text: str, p: int, r: int) -> ConstraintSet:
     if head == NONNEG:
         return nonneg(p, r)
     if head == SIGNS:
-        return signs(p)
+        return ConstraintSet(SIGNS, p, r)
     if head == SPARSE:
         key, _, val = rest.partition("=")
         if key.strip() != "k":

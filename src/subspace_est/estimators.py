@@ -14,7 +14,7 @@ import numpy as np
 
 from . import constraints, models
 from .errors import DegenerateInput, DimensionMismatch, RankDeficient, TooLarge
-from .geometry import OrthonormalFrame, orthonormalize, subspace_distance
+from .geometry import OrthonormalFrame, orthonormalize
 
 ITERATIVE = "iterative"
 EXHAUSTIVE = "exhaustive"
@@ -121,24 +121,28 @@ def iterative_projection_estimate(m: np.ndarray, cset: constraints.ConstraintSet
                                   config: EstimatorConfig | None = None) -> IterationResult:
     """Alternate multiply-by-M, thin QR, and constraint projection.
 
-    Stops once successive iterates are closer than config.tol in the projector
-    distance or after max_iter rounds.  The returned frame is the best
-    objective value visited, not necessarily the last iterate.  A rank
-    collapse restarts the iteration from a fresh random member, at most five
-    times, before raising RankDeficient.
+    Stops once successive iterates a (new) and b (old) are closer than
+    config.tol in the projector distance or after max_iter rounds.  The step
+    is measured as sqrt(2) ||a - b (b'a)||_F, which equals ||aa' - bb'||_F
+    (both squares are 2 (r - ||b'a||_F^2)) in O(p r^2) and keeps full
+    relative precision near zero.  The returned frame is the best objective
+    value visited, not necessarily the last iterate.  A rank collapse
+    restarts the iteration from a fresh random member, at most five times,
+    before raising RankDeficient.
     """
     if config is None:
         config = EstimatorConfig()
     current = _initial_frame(m, cset, config)
-    path = [objective(current, m)]
+    # mu = M U serves both the trace form tr(U' M U) and the next lift
+    mu = m @ current.values
+    path = [float(np.sum(current.values * mu))]
     best, best_val = current, path[0]
     iterations = 0
     converged = False
     restarts = 0
     while iterations < config.max_iter:
         try:
-            lifted = orthonormalize(m @ current.values)
-            nxt = constraints.project(cset, lifted)
+            nxt = constraints.project(cset, orthonormalize(mu))
         except (RankDeficient, DegenerateInput):
             restarts += 1
             if restarts > _MAX_RESTARTS:
@@ -146,15 +150,18 @@ def iterative_projection_estimate(m: np.ndarray, cset: constraints.ConstraintSet
                     f"iterate lost rank after {_MAX_RESTARTS} restarts")
             current = constraints.random_member(
                 cset, config.init_seed + 1000003 * restarts)
-            path.append(objective(current, m))
+            mu = m @ current.values
+            path.append(float(np.sum(current.values * mu)))
             if path[-1] > best_val:
                 best, best_val = current, path[-1]
             iterations += 1
             continue
-        path.append(objective(nxt, m))
+        a, b = nxt.values, current.values
+        mu = m @ a
+        path.append(float(np.sum(a * mu)))
         if path[-1] > best_val:
             best, best_val = nxt, path[-1]
-        step = subspace_distance(nxt, current)
+        step = np.sqrt(2.0) * np.linalg.norm(a - b @ (b.T @ a))
         current = nxt
         iterations += 1
         if step < config.tol:

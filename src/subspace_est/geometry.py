@@ -3,9 +3,16 @@
 The distance between two frames U1, U2 with orthonormal columns is the
 Frobenius norm of the difference of their column-space projectors,
 
-    dist(U1, U2) = || U1 U1' - U2 U2' ||_F = sqrt(2 (r - ||U1' U2||_F^2)),
+    dist(U1, U2) = || U1 U1' - U2 U2' ||_F = sqrt(2 (r - ||U1' U2||_F^2))
+                 = sqrt(2) || U1 - U2 (U2' U1) ||_F.
 
-computed here through the r x r Gram matrix rather than the p x p projectors.
+subspace_distance, the reported loss, forms the p x p projectors, so an exact
+match reads exactly 0 and the distance is exactly symmetric.  The power step
+in estimators tests convergence with the O(p r^2) residual form on the right.
+Neither uses the Gram identity in the middle: it subtracts ||U1' U2||_F^2
+from r and so cannot resolve a distance below about 1e-8, the default
+convergence tolerance.  The greedy nets in entropy do use it, at radii far
+above that floor.
 """
 
 from __future__ import annotations
@@ -117,10 +124,11 @@ def orthonormalize(m) -> OrthonormalFrame:
     m = _as_matrix(m)
     if m.shape[0] < m.shape[1]:
         raise DimensionMismatch(f"need p >= r, got shape {m.shape}")
-    sv = np.linalg.svd(m, compute_uv=False)
+    q, rfac = np.linalg.qr(m)
+    # the r x r factor has the singular values of m
+    sv = np.linalg.svd(rfac, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= _RANK_TOL * sv[0]:
         raise RankDeficient("matrix has (numerically) dependent columns")
-    q, rfac = np.linalg.qr(m)
     signs = np.sign(np.diag(rfac))
     signs[signs == 0] = 1.0
     return OrthonormalFrame(q * signs)

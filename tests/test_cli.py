@@ -178,6 +178,23 @@ def test_constraint_knob_on_kind_without_one_exit_two(tmp_path):
     assert not (tmp_path / "risk").exists()
 
 
+def test_signs_constraint_above_rank_one_exit_two(tmp_path):
+    argv = ["entropy", "--constraint", "signs", "--p", "12", "--r", "3",
+            "--budget", "100", "--out", str(tmp_path / "ent")]
+    assert main(argv) == 2
+    assert not (tmp_path / "ent").exists()
+    sim = tmp_path / "sim"
+    argv = ["simulate", "--family", "clustering", "--n", "10", "--p", "30",
+            "--r", "1", "--t", "25", "--sigma", "1", "--constraint", "signs",
+            "--seed", "4", "--out", str(sim)]
+    assert main(argv) == 0
+    before = _snapshot(sim)
+    argv = ["estimate", "--in", str(sim), "--r", "2", "--out", str(tmp_path / "est")]
+    assert main(argv) == 2
+    assert not (tmp_path / "est").exists()
+    assert _snapshot(sim) == before
+
+
 def test_entropy_singleton_dudley_zero(tmp_path):
     out = tmp_path / "ent"
     argv = ["entropy", "--constraint", "signs", "--p", "1", "--r", "1",

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from subspace_est import constraints, estimators, models
-from subspace_est.errors import DimensionMismatch, TooLarge
+from subspace_est.errors import (DegenerateInput, DimensionMismatch,
+                                 RankDeficient, TooLarge)
 from subspace_est.estimators import (EstimatorConfig, build_objective_matrix,
                                      estimate, exhaustive_argmax,
                                      iterative_projection_estimate, objective,
@@ -150,3 +151,95 @@ def test_estimate_dispatch_and_determinism():
         assert result.objective == objective(result.frame, m)
     strong = estimate(m, cset, EstimatorConfig(method="exhaustive")).frame
     assert subspace_distance(strong, inst.truth_left) <= 0.5
+
+
+def _reference_orthonormalize(m):
+    """orthonormalize as it was before the QR-first rank test: a full SVD of
+    m for the rank test, then the thin QR with diag(R) >= 0."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
+        raise RankDeficient("matrix has (numerically) dependent columns")
+    q, rfac = np.linalg.qr(m)
+    signs = np.sign(np.diag(rfac))
+    signs[signs == 0] = 1.0
+    return OrthonormalFrame(q * signs)
+
+
+def _reference_iterative(m, cset, config):
+    """The power loop before the lean step: a p x p projector-distance step
+    test, a separate objective() matmul, and SVD-then-QR orthonormalization."""
+    current = estimators._initial_frame(m, cset, config)
+    path = [objective(current, m)]
+    best, best_val = current, path[0]
+    iterations, converged, restarts = 0, False, 0
+    while iterations < config.max_iter:
+        try:
+            lifted = _reference_orthonormalize(m @ current.values)
+            nxt = constraints.project(cset, lifted)
+        except (RankDeficient, DegenerateInput):
+            restarts += 1
+            if restarts > 5:
+                raise RankDeficient("iterate lost rank after 5 restarts")
+            current = constraints.random_member(
+                cset, config.init_seed + 1000003 * restarts)
+            path.append(objective(current, m))
+            if path[-1] > best_val:
+                best, best_val = current, path[-1]
+            iterations += 1
+            continue
+        path.append(objective(nxt, m))
+        if path[-1] > best_val:
+            best, best_val = nxt, path[-1]
+        step = float(np.linalg.norm(nxt.values @ nxt.values.T
+                                    - current.values @ current.values.T))
+        current = nxt
+        iterations += 1
+        if step < config.tol:
+            converged = True
+            break
+    return estimators.IterationResult(best, path, iterations, converged)
+
+
+def _denoising_objective(cset, t, seed, p1, p2):
+    spec = models.ModelSpec("denoising", cset.r, SpectrumSpec.flat(t, cset.r),
+                            1.0, seed=seed, p1=p1, p2=p2)
+    return build_objective_matrix(models.sample_instance(spec, cset))
+
+
+def _equivalence_cases():
+    basis = _haar(30, 6, 21)
+    yield "nonneg r=1 t=2", _denoising_objective(
+        constraints.nonneg(200, 1), 2.0, 0, 200, 400), constraints.nonneg(200, 1), {}
+    yield "nonneg r=2", _denoising_objective(
+        constraints.nonneg(60, 2), 6.0, 1, 60, 80), constraints.nonneg(60, 2), {}
+    yield "sparse r=2", _denoising_objective(
+        constraints.sparse(40, 2, 5), 6.0, 2, 40, 50), constraints.sparse(40, 2, 5), {}
+    subspace = constraints.subspace(basis, 2)
+    yield "subspace", _denoising_objective(subspace, 4.0, 3, 30, 40), subspace, {}
+    yield "none", _denoising_objective(
+        constraints.unconstrained(30, 3), 3.0, 4, 30, 40), constraints.unconstrained(30, 3), {}
+    yield "signs", _denoising_objective(
+        constraints.signs(24), 5.0, 5, 24, 30), constraints.signs(24), {}
+    yield "iteration cap", _denoising_objective(
+        constraints.nonneg(80, 1), 2.0, 6, 80, 120), constraints.nonneg(80, 1), {"max_iter": 7}
+    # the spectral init e1 spans the kernel of M, so the first lift is rank
+    # deficient and the loop restarts from a random member
+    yield "restart", -np.diag([0.0, 1.0, 2.0]), constraints.unconstrained(3, 1), {}
+
+
+def test_iterative_matches_reference_loop_bit_for_bit():
+    seen_converged = set()
+    for name, m, cset, knobs in _equivalence_cases():
+        cfg = EstimatorConfig(**knobs)
+        got = iterative_projection_estimate(m, cset, cfg)
+        want = _reference_iterative(m, cset, cfg)
+        assert np.array_equal(got.frame.values, want.frame.values), name
+        assert got.trace_path == want.trace_path, name
+        assert got.iterations == want.iterations, name
+        assert got.converged == want.converged, name
+        seen_converged.add(got.converged)
+        if name == "nonneg r=1 t=2":
+            assert not got.converged and got.iterations == 200
+        if name == "iteration cap":
+            assert not got.converged and got.iterations == 7
+    assert seen_converged == {True, False}

@@ -39,6 +39,21 @@ def test_orthonormalize_rank_deficient():
         orthonormalize(np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]]))
 
 
+def test_orthonormalize_rank_threshold_is_singular_value_ratio():
+    rng = np.random.default_rng(17)
+    for r in (2, 3):
+        w = random_frame(rng, 9, r).values
+        v = random_frame(rng, r, r).values
+        for ratio, deficient in ((1e-13, True), (1e-11, False)):
+            s = np.geomspace(1.0, ratio, r) * 5.0
+            m = (w * s) @ v.T
+            if deficient:
+                with pytest.raises(RankDeficient):
+                    orthonormalize(m)
+            else:
+                assert orthonormalize(m).r == r
+
+
 def test_spectrum_spec_validation():
     spec = SpectrumSpec(values=(4.0, 2.5), scale=3.0)
     assert spec.rank == 2
