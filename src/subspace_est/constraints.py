@@ -1,9 +1,10 @@
 """Constraint sets for frames: sparsity, non-negativity, subspace, sign vectors.
 
-Each set lives inside the orthonormal p x r frames.  `project` maps an
-arbitrary frame (or matrix) to a member, `contains` tests membership, and
-`random_member` draws a member for Monte Carlo work.  `ConstraintSet.rate_term`
-gives the set's entropy term in the minimax rate.
+Each set lives inside the orthonormal p x r frames.  `project_batch` maps
+every slice of a stack of matrices to a member and `project` is its one-slice
+case, `contains` tests membership, and `random_member` draws a member for
+Monte Carlo work.  `ConstraintSet.rate_term` gives the set's entropy term in
+the minimax rate.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, RankDeficient
-from .geometry import OrthonormalFrame, _as_matrix, orthonormalize
+from .geometry import (OrthonormalFrame, _as_matrix, frobenius_norms,
+                       orthonormalize, orthonormalize_batch)
 
 SPARSE = "sparse"
 NONNEG = "nonneg"
@@ -133,16 +135,6 @@ def _polar_factor(m: np.ndarray) -> np.ndarray:
     return w @ vt
 
 
-def _project_nonneg_rank_one(col: np.ndarray) -> np.ndarray:
-    clipped = np.clip(col, 0.0, None)
-    norm = np.linalg.norm(clipped)
-    if norm <= 0.0:
-        out = np.zeros_like(col)
-        out[int(np.argmax(col))] = 1.0
-        return out
-    return clipped / norm
-
-
 def _disjoint_support_cleanup(w: np.ndarray, original: np.ndarray) -> np.ndarray:
     """Force row-disjoint column supports, then give every column unit norm."""
     p, r = w.shape
@@ -170,10 +162,23 @@ def _disjoint_support_cleanup(w: np.ndarray, original: np.ndarray) -> np.ndarray
     return keep / norms
 
 
+def _project_nonneg_rank_one(stack: np.ndarray) -> np.ndarray:
+    """Clip and renormalize every p x 1 slice; a slice with no positive
+    entry maps to the basis vector at its largest entry."""
+    clipped = np.clip(stack, 0.0, None)
+    norms = frobenius_norms(clipped)
+    zero = norms <= 0.0
+    out = clipped / np.where(zero, 1.0, norms)[:, None, None]
+    if zero.any():
+        for i in np.flatnonzero(zero):
+            out[i] = 0.0
+            out[i, int(np.argmax(stack[i, :, 0])), 0] = 1.0
+    return out
+
+
 def _project_nonneg(m: np.ndarray) -> np.ndarray:
-    p, r = m.shape
-    if r == 1:
-        return _project_nonneg_rank_one(m[:, 0])
+    """Alternating projection of one p x r matrix, r > 1."""
+    r = m.shape[1]
     u = m.copy()
     for _ in range(_NN_ROUNDS):
         clipped = np.clip(u, 0.0, None)
@@ -193,40 +198,68 @@ def _project_nonneg(m: np.ndarray) -> np.ndarray:
     return _disjoint_support_cleanup(w, m)
 
 
-def project(cset: ConstraintSet, u) -> OrthonormalFrame:
-    """Map a frame or matrix to a member of the constraint set.
+def project_batch(cset: ConstraintSet, stack) -> tuple:
+    """Map every slice of a (B, p, r) stack to a member of the constraint set.
+
+    Returns (members, ok), a (B, p, r) array and a boolean mask: ok[i] is
+    False where slice i has no member (a rank-deficient input block, or no
+    disjoint non-negative supports), and members[i] is then meaningless.
+    The members are raw arrays; callers check orthonormality when they make
+    frames of them.  Each slice comes out bit for bit as a call on that slice
+    alone.
 
     Rules per kind: "signs" takes entrywise signs (with sign(0) := +1) over
     sqrt(p); "subspace" re-orthonormalizes the basis-plane projection;
     "none" re-orthonormalizes; "sparse" keeps the k rows of largest Euclidean
     norm (a shared-support reduction) and re-orthonormalizes the surviving
     block; "nonneg" clips negatives for r = 1, and for r > 1 alternates
-    clipping with polar orthonormalization before a final feasibility pass.
+    clipping with polar orthonormalization before a final feasibility pass,
+    one slice at a time.
     """
+    s = np.asarray(stack, dtype=float)
+    if s.ndim != 3 or s.shape[1:] != (cset.p, cset.r):
+        raise DimensionMismatch(
+            f"input stack is {s.shape}, constraint ambient is {cset.p} x {cset.r}")
+    count = s.shape[0]
+    if cset.kind == SIGNS:
+        members = np.where(s >= 0.0, 1.0, -1.0) / np.sqrt(cset.p)
+        return members, np.ones(count, dtype=bool)
+    if cset.kind == UNCONSTRAINED:
+        return orthonormalize_batch(s)
+    if cset.kind == SUBSPACE:
+        q = cset.basis.values
+        return orthonormalize_batch(q @ (q.T @ s))
+    if cset.kind == SPARSE:
+        norms = np.linalg.norm(s, axis=2)
+        order = np.argsort(-norms, axis=1, kind="stable")
+        keep = np.sort(order[:, : cset.k], axis=1)[:, :, None]
+        block, ok = orthonormalize_batch(np.take_along_axis(s, keep, axis=1))
+        members = np.zeros_like(s)
+        np.put_along_axis(members, keep, block, axis=1)
+        return members, ok
+    if cset.r == 1:
+        return _project_nonneg_rank_one(s), np.ones(count, dtype=bool)
+    members = np.empty_like(s)
+    ok = np.ones(count, dtype=bool)
+    for i in range(count):
+        try:
+            members[i] = _project_nonneg(s[i])
+        except DegenerateInput:
+            ok[i] = False
+    return members, ok
+
+
+def project(cset: ConstraintSet, u) -> OrthonormalFrame:
+    """Map a frame or matrix to a member of the constraint set: the one-slice
+    case of project_batch.  Raises DegenerateInput where no member exists."""
     m = _as_matrix(u)
     if m.shape != (cset.p, cset.r):
         raise DimensionMismatch(
             f"input is {m.shape[0]} x {m.shape[1]}, constraint ambient is {cset.p} x {cset.r}")
-    if cset.kind == SIGNS:
-        s = np.where(m[:, 0] >= 0.0, 1.0, -1.0)
-        return OrthonormalFrame(s[:, None] / np.sqrt(cset.p))
-    try:
-        if cset.kind == UNCONSTRAINED:
-            return orthonormalize(m)
-        if cset.kind == SUBSPACE:
-            q = cset.basis.values
-            return orthonormalize(q @ (q.T @ m))
-        if cset.kind == SPARSE:
-            norms = np.linalg.norm(m, axis=1)
-            order = np.argsort(-norms, kind="stable")
-            keep = np.sort(order[: cset.k])
-            block = orthonormalize(m[keep, :])
-            out = np.zeros_like(m)
-            out[keep, :] = block.values
-            return OrthonormalFrame(out)
-    except RankDeficient as exc:
-        raise DegenerateInput(str(exc)) from exc
-    return OrthonormalFrame(_project_nonneg(m))
+    members, ok = project_batch(cset, m[None])
+    if not ok[0]:
+        raise DegenerateInput(f"no {cset.kind} member for this input")
+    return OrthonormalFrame(members[0])
 
 
 def null_space_basis(a) -> OrthonormalFrame:

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constraints, models
-from .errors import DegenerateInput, DimensionMismatch, RankDeficient, TooLarge
-from .geometry import OrthonormalFrame, orthonormalize
+from .errors import DimensionMismatch, RankDeficient, TooLarge
+from .geometry import (OrthonormalFrame, check_orthonormal, frobenius_norms,
+                       orthonormalize_batch)
 
 ITERATIVE = "iterative"
 EXHAUSTIVE = "exhaustive"
@@ -56,6 +57,7 @@ class IterationResult:
     trace_path: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
+    restarts: int = 0
 
     @property
     def objective(self) -> float:
@@ -128,46 +130,94 @@ def iterative_projection_estimate(m: np.ndarray, cset: constraints.ConstraintSet
     relative precision near zero.  The returned frame is the best objective
     value visited, not necessarily the last iterate.  A rank collapse
     restarts the iteration from a fresh random member, at most five times,
-    before raising RankDeficient.
+    before raising RankDeficient; the result counts the restarts.  This is
+    the one-slice case of iterative_projection_batch.
+    """
+    m = np.array(m, dtype=float)
+    return iterative_projection_batch(m[None], cset, config)[0]
+
+
+def _power_step(mu: np.ndarray, cset: constraints.ConstraintSet) -> tuple:
+    """Orthonormalize and project every lifted slice; (members, ok) as in
+    constraints.project_batch, with ok False also where the lift lost rank."""
+    lifted, ok = orthonormalize_batch(mu)
+    if ok.all():
+        return constraints.project_batch(cset, lifted)
+    members = np.empty_like(lifted)
+    members[ok], ok[ok] = constraints.project_batch(cset, lifted[ok])
+    return members, ok
+
+
+def iterative_projection_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
+                               config: EstimatorConfig | None = None) -> list:
+    """iterative_projection_estimate on every slice of a (B, p, p) stack.
+
+    The power loops of all slices run as one stacked block: one stacked
+    product, QR, projection and orthonormality check per step.  A slice
+    leaves the block when it converges or reaches max_iter, and a rank
+    collapse restarts only its own slice.  Each result is bit for bit the
+    result of iterative_projection_estimate on that slice alone.  ms is
+    taken over as working memory: its slices are reordered in place as
+    trials finish.
     """
     if config is None:
         config = EstimatorConfig()
-    current = _initial_frame(m, cset, config)
+    if ms.ndim != 3 or ms.shape[1:] != (cset.p, cset.p):
+        raise DimensionMismatch(
+            f"objective stack is {ms.shape}, constraint ambient is {cset.p}")
+    count = ms.shape[0]
+    if count == 0:
+        return []
+    cur = np.stack([_initial_frame(m, cset, config).values for m in ms])
     # mu = M U serves both the trace form tr(U' M U) and the next lift
-    mu = m @ current.values
-    path = [float(np.sum(current.values * mu))]
-    best, best_val = current, path[0]
-    iterations = 0
-    converged = False
-    restarts = 0
-    while iterations < config.max_iter:
-        try:
-            nxt = constraints.project(cset, orthonormalize(mu))
-        except (RankDeficient, DegenerateInput):
-            restarts += 1
-            if restarts > _MAX_RESTARTS:
-                raise RankDeficient(
-                    f"iterate lost rank after {_MAX_RESTARTS} restarts")
-            current = constraints.random_member(
-                cset, config.init_seed + 1000003 * restarts)
-            mu = m @ current.values
-            path.append(float(np.sum(current.values * mu)))
-            if path[-1] > best_val:
-                best, best_val = current, path[-1]
-            iterations += 1
+    mu = ms @ cur
+    values = (cur * mu).sum(axis=(1, 2))
+    paths = [[v] for v in values.tolist()]
+    best, best_val = cur.copy(), values
+    iterations = np.zeros(count, dtype=int)
+    restarts = np.zeros(count, dtype=int)
+    trial = np.arange(count)  # the trial whose loop each slot holds
+    results = [None] * count
+    live = count
+    while live:
+        nxt, ok = _power_step(mu, cset)
+        if not ok.all():
+            for slot in np.flatnonzero(~ok):
+                restarts[slot] += 1
+                if restarts[slot] > _MAX_RESTARTS:
+                    raise RankDeficient(
+                        f"iterate lost rank after {_MAX_RESTARTS} restarts")
+                nxt[slot] = constraints.random_member(
+                    cset, config.init_seed + 1000003 * int(restarts[slot])).values
+        check_orthonormal(nxt)
+        b = cur[:live]
+        mu = ms[:live] @ nxt
+        values = (nxt * mu).sum(axis=(1, 2))
+        for index, value in zip(trial[:live].tolist(), values.tolist()):
+            paths[index].append(value)
+        better = values > best_val[:live]
+        np.copyto(best[:live], nxt, where=better[:, None, None])
+        np.copyto(best_val[:live], values, where=better)
+        # a restart takes no step test
+        step = np.sqrt(2.0) * frobenius_norms(nxt - b @ (b.transpose(0, 2, 1) @ nxt))
+        converged = ok & (step < config.tol)
+        b[...] = nxt
+        iterations[:live] += 1
+        finished = converged | (iterations[:live] >= config.max_iter)
+        if not finished.any():
             continue
-        a, b = nxt.values, current.values
-        mu = m @ a
-        path.append(float(np.sum(a * mu)))
-        if path[-1] > best_val:
-            best, best_val = nxt, path[-1]
-        step = np.sqrt(2.0) * np.linalg.norm(a - b @ (b.T @ a))
-        current = nxt
-        iterations += 1
-        if step < config.tol:
-            converged = True
-            break
-    return IterationResult(best, path, iterations, converged)
+        # descending, so the last live slot moved into a finished one is live
+        for slot in np.flatnonzero(finished)[::-1]:
+            index = int(trial[slot])
+            results[index] = IterationResult(
+                OrthonormalFrame(best[slot].copy()), paths[index],
+                int(iterations[slot]), bool(converged[slot]), int(restarts[slot]))
+            live -= 1
+            if slot != live:
+                for arr in (ms, cur, mu, best, best_val, iterations, restarts, trial):
+                    arr[slot] = arr[live]
+        mu = mu[:live]
+    return results
 
 
 def _sign_patterns(n: int) -> np.ndarray:
@@ -197,19 +247,34 @@ def exhaustive_argmax(cset: constraints.ConstraintSet, m: np.ndarray) -> Orthono
     return OrthonormalFrame(patterns[winner][:, None] / np.sqrt(n))
 
 
-def estimate(m: np.ndarray, cset: constraints.ConstraintSet,
-             config: EstimatorConfig | None = None) -> IterationResult:
-    """Dispatch on config.method; the result's frame is a member of cset.
+def estimate_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
+                   config: EstimatorConfig | None = None) -> list:
+    """Dispatch on config.method over a (B, p, p) stack of objective
+    matrices; one IterationResult per slice, whose frame is a member of cset.
 
+    Iterative projection runs the slices as one block
+    (iterative_projection_batch, which takes ms over as working memory).
     Spectral truncation and exhaustive search take no power steps: they
     report 0 iterations, converged, and the one objective value visited.
     """
     if config is None:
         config = EstimatorConfig()
     if config.method == ITERATIVE:
-        return iterative_projection_estimate(m, cset, config)
-    if config.method == SPECTRAL:
-        frame = constraints.project(cset, spectral_estimate(m, cset.r))
-    else:
-        frame = exhaustive_argmax(cset, m)
-    return IterationResult(frame, [objective(frame, m)], 0, True)
+        return iterative_projection_batch(ms, cset, config)
+    results = []
+    for m in ms:
+        if config.method == SPECTRAL:
+            frame = constraints.project(cset, spectral_estimate(m, cset.r))
+        else:
+            frame = exhaustive_argmax(cset, m)
+        results.append(IterationResult(frame, [objective(frame, m)], 0, True))
+    return results
+
+
+def estimate(m: np.ndarray, cset: constraints.ConstraintSet,
+             config: EstimatorConfig | None = None) -> IterationResult:
+    """estimate_batch on one objective matrix."""
+    m = np.array(m, dtype=float)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"need a square matrix, got shape {m.shape}")
+    return estimate_batch(m[None], cset, config)[0]

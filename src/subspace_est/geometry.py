@@ -45,10 +45,7 @@ class OrthonormalFrame:
         p, r = m.shape
         if r < 1 or p < r:
             raise DimensionMismatch(f"need p >= r >= 1, got shape {p} x {r}")
-        gram = m.T @ m
-        err = np.max(np.abs(gram - np.eye(r)))
-        if err > FRAME_TOL:
-            raise ValueError(f"columns are not orthonormal: max |U'U - I| = {err:.3e}")
+        check_orthonormal(m)
         self.values = m
 
     @property
@@ -113,25 +110,58 @@ def _as_matrix(u) -> np.ndarray:
     return m
 
 
+def check_orthonormal(stack) -> None:
+    """Raise ValueError unless the columns of a p x r matrix, or of every
+    slice of a (B, p, r) stack, are orthonormal within FRAME_TOL."""
+    gram = stack.swapaxes(-1, -2) @ stack
+    err = np.abs(gram - np.eye(stack.shape[-1])).max(initial=0.0)
+    if err > FRAME_TOL:
+        raise ValueError(f"columns are not orthonormal: max |U'U - I| = {err:.3e}")
+
+
+def frobenius_norms(stack) -> np.ndarray:
+    """Frobenius norm of every slice of a C-contiguous (B, ...) stack.
+
+    Each norm is the square root of the slice's inner product with itself,
+    taken by a (1 x n)(n x 1) product, which matches np.linalg.norm of the
+    slice bit for bit; a stacked sum of squares rounds differently.
+    """
+    flat = stack.reshape(stack.shape[0], 1, -1)
+    return np.sqrt((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
+
+
+def orthonormalize_batch(stack) -> tuple:
+    """Thin QR factors with diag(R) >= 0 of every slice of a (B, p, r) stack.
+
+    Returns (frames, full_rank).  full_rank[i] is False when the smallest
+    singular value of slice i falls at or below 1e-12 times its largest;
+    frames[i] is then meaningless.  The r x r factors carry the singular
+    values of their slices, so the rank test needs no p x r decomposition.
+    Each slice comes out bit for bit as a call on that slice alone.
+    """
+    q, rfac = np.linalg.qr(stack)
+    sv = np.linalg.svd(rfac, compute_uv=False)
+    deficient = (sv[:, 0] == 0.0) | (sv[:, -1] <= _RANK_TOL * sv[:, 0])
+    signs = np.sign(np.diagonal(rfac, axis1=1, axis2=2))
+    signs[signs == 0] = 1.0
+    return q * signs[:, None, :], ~deficient
+
+
 def orthonormalize(m) -> OrthonormalFrame:
     """Thin QR factor of m with the sign convention diag(R) >= 0.
 
     Raises RankDeficient when the smallest singular value falls at or below
     1e-12 times the largest.  The sign convention makes the output unique, and
     an input that is already orthonormal with a positive-diagonal triangular
-    factor comes back unchanged.
+    factor comes back unchanged.  This is the one-slice orthonormalize_batch.
     """
     m = _as_matrix(m)
     if m.shape[0] < m.shape[1]:
         raise DimensionMismatch(f"need p >= r, got shape {m.shape}")
-    q, rfac = np.linalg.qr(m)
-    # the r x r factor has the singular values of m
-    sv = np.linalg.svd(rfac, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= _RANK_TOL * sv[0]:
+    frames, full_rank = orthonormalize_batch(m[None])
+    if not full_rank[0]:
         raise RankDeficient("matrix has (numerically) dependent columns")
-    signs = np.sign(np.diag(rfac))
-    signs[signs == 0] = 1.0
-    return OrthonormalFrame(q * signs)
+    return OrthonormalFrame(frames[0])
 
 
 def subspace_distance(u1, u2) -> float:

@@ -5,8 +5,13 @@ phase-transition detection.
 Rate conventions.  theory_rate evaluates the constant-free minimax rate for
 the model family and constraint kind at the sweep knobs, capped at 1 for
 structured sets (sqrt(r) unconstrained); only ratios and fitted slopes are
-meaningful, never absolute levels.  All randomness is derived from the model
-seed and the trial index, so every estimate is a pure function of its inputs.
+meaningful, never absolute levels.
+
+Trials run in stacked blocks: each trial is sampled on its own stream, and
+the power loops of a block run as one stack (estimators.estimate_batch).  All
+randomness is derived from the model seed and the trial index and each
+trial's loop is bit for bit its loop run alone, so every estimate is a pure
+function of its inputs, identical at every block size.
 """
 
 from __future__ import annotations
@@ -26,6 +31,10 @@ from .geometry import subspace_distance
 _CSV_FIELDS = ("family", "p1", "p2", "n", "p", "r", "k", "t", "sigma",
                "trials", "seed", "mean_d", "stderr", "theory_rate")
 _INT_FIELDS = {"p1", "p2", "n", "p", "r", "k", "trials", "seed"}
+
+# bytes of objective matrices that one block of trials holds at once; caps
+# the memory of a risk run whatever its trial count and dimension
+BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -124,31 +133,57 @@ def _spec_digest(model: models.ModelSpec, cset: constraints.ConstraintSet,
     return h.hexdigest()[:16]
 
 
-def run_trial(model: models.ModelSpec, cset: constraints.ConstraintSet,
-              config: estimators.EstimatorConfig, trial_index: int) -> float:
-    """Loss d(U_hat, U_truth) of one simulated instance on its own stream."""
-    instance = models.sample_instance(model, cset, trial_index=trial_index)
-    m = estimators.build_objective_matrix(instance)
-    frame = estimators.estimate(m, cset, config).frame
-    dist = subspace_distance(frame, instance.truth_left)
+def run_trials(model: models.ModelSpec, cset: constraints.ConstraintSet,
+               config: estimators.EstimatorConfig, indices) -> list:
+    """Losses d(U_hat, U_truth) of the given trials, each simulated on its
+    own stream and estimated in one stacked block.
+
+    Each objective matrix is written into the block and its observation
+    dropped, so the block's (B, p, p) stack is the run's working set.
+    """
+    indices = list(indices)
+    block = np.empty((len(indices), cset.p, cset.p))
+    truths = []
+    for slot, index in enumerate(indices):
+        instance = models.sample_instance(model, cset, trial_index=index)
+        block[slot] = estimators.build_objective_matrix(instance)
+        truths.append(instance.truth_left)
+    results = estimators.estimate_batch(block, cset, config)
     # loss is bounded by the projector-metric diameter of O(p, r)
     bound = math.sqrt(2.0 * model.rank) + 1e-9
-    if dist > bound:
-        raise BoundViolated(f"loss {dist} exceeds diameter bound {bound}")
-    return float(dist)
+    losses = []
+    for result, truth in zip(results, truths):
+        dist = subspace_distance(result.frame, truth)
+        if dist > bound:
+            raise BoundViolated(f"loss {dist} exceeds diameter bound {bound}")
+        losses.append(float(dist))
+    return losses
+
+
+def run_trial(model: models.ModelSpec, cset: constraints.ConstraintSet,
+              config: estimators.EstimatorConfig, trial_index: int) -> float:
+    """Loss d(U_hat, U_truth) of one simulated instance on its own stream:
+    run_trials on a block of one."""
+    return run_trials(model, cset, config, [trial_index])[0]
 
 
 def monte_carlo_risk(model: models.ModelSpec, cset: constraints.ConstraintSet,
                      config: estimators.EstimatorConfig, trials: int) -> RiskEstimate:
     """Mean and standard error of the loss over independent trial streams.
 
-    Trial i always uses the stream (model.seed, i) and trials run in trial
-    order, so the result is a pure function of the inputs and the first half
-    of a doubled run reproduces exactly.
+    Trial i always uses the stream (model.seed, i).  Trials run in blocks of
+    consecutive indices, as many as fit BLOCK_BYTES of objective matrices,
+    and a trial's loss does not depend on the block it runs in, so the
+    result is a pure function of the inputs, the same at every block size,
+    and the first half of a doubled run reproduces exactly.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    arr = np.asarray([run_trial(model, cset, config, i) for i in range(trials)])
+    size = max(1, BLOCK_BYTES // (8 * cset.p * cset.p))
+    losses = []
+    for start in range(0, trials, size):
+        losses += run_trials(model, cset, config, range(start, min(start + size, trials)))
+    arr = np.asarray(losses)
     mean = float(np.mean(arr))
     sd = float(np.std(arr, ddof=1))
     return RiskEstimate(mean_distance=mean, stderr=sd / math.sqrt(trials),

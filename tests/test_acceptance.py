@@ -202,6 +202,7 @@ def test_05_clustering_oracle_agreement(capsys):
     assert elapsed < 60.0
 
 
+@pytest.mark.slow
 def test_06_phase_transition_nonneg_rank_one(capsys):
     # Non-negative rank-one denoising, p1=10, p2=100000, sigma=1, 12-point
     # log grid on [40, 4000], 200 trials per point.  Targets: slope_high in
@@ -317,6 +318,7 @@ def test_08_clustering_consistency_limit(capsys):
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_09_entropy_scaling(capsys):
     # Squared entropy-integral ratios across k (sparse), p (non-negative) and
     # subspace dimension must match the predicted ratios within factor 2;

@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_est.constraints import (ConstraintSet, contains, nonneg,
                                       null_space_basis, parse_constraint,
-                                      project, random_member, signs, sparse,
-                                      subspace, unconstrained)
+                                      project, project_batch, random_member,
+                                      signs, sparse, subspace, unconstrained)
 from subspace_est.errors import DegenerateInput, DimensionMismatch, RankDeficient
 from subspace_est.geometry import OrthonormalFrame, orthonormalize, subspace_distance
 from subspace_est.matio import write_matrix
@@ -187,3 +189,54 @@ def test_sparse_contains_counts_support_rows():
     assert contains(sparse(6, 2, 4), split)
     with pytest.raises(DegenerateInput):
         project(sparse(6, 2, 2), split)
+
+
+@st.composite
+def _sets_and_stacks(draw):
+    """A constraint set of any kind and a (B, p, r) stack for it whose slices
+    are Gaussian, zero, column-duplicated (rank deficient for r > 1) or
+    entrywise non-positive."""
+    kind = draw(st.sampled_from(["sparse", "nonneg", "subspace", "signs", "none"]))
+    p = draw(st.integers(3, 10))
+    r = 1 if kind == "signs" else draw(
+        st.integers(1, p - 2 if kind == "subspace" else min(3, p)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "sparse":
+        cset = sparse(p, r, draw(st.integers(r, p)))
+    elif kind == "subspace":
+        k = draw(st.integers(r + 1, p - 1))
+        cset = subspace(orthonormalize(rng.standard_normal((p, k))), r)
+    else:
+        cset = ConstraintSet(kind, p, r)
+    flavors = draw(st.lists(st.sampled_from(["gauss", "zero", "dup", "nonpos"]),
+                            min_size=1, max_size=5))
+    stack = rng.standard_normal((len(flavors), p, r))
+    for i, flavor in enumerate(flavors):
+        if flavor == "zero":
+            stack[i] = 0.0
+        elif flavor == "dup":
+            stack[i, :, -1] = stack[i, :, 0]
+        elif flavor == "nonpos":
+            stack[i] = -np.abs(stack[i])
+    return cset, stack
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_sets_and_stacks())
+def test_project_batch_properties(case):
+    # per slice: equal to project bit for bit, idempotent, and in the set
+    cset, stack = case
+    members, ok = project_batch(cset, stack)
+    assert members.shape == stack.shape and ok.shape == (len(stack),)
+    for i in range(len(stack)):
+        if not ok[i]:
+            with pytest.raises(DegenerateInput):
+                project(cset, stack[i])
+            continue
+        frame = project(cset, stack[i])
+        assert np.array_equal(frame.values, members[i])
+        assert contains(cset, frame)
+        again, again_ok = project_batch(cset, members[i:i + 1])
+        assert again_ok[0]
+        assert np.max(np.abs(again[0] - members[i])) <= 1e-10

@@ -6,6 +6,7 @@ from subspace_est.errors import (DegenerateInput, DimensionMismatch,
                                  RankDeficient, TooLarge)
 from subspace_est.estimators import (EstimatorConfig, build_objective_matrix,
                                      estimate, exhaustive_argmax,
+                                     iterative_projection_batch,
                                      iterative_projection_estimate, objective,
                                      objective_matrix, spectral_estimate)
 from subspace_est.geometry import (OrthonormalFrame, SpectrumSpec,
@@ -197,7 +198,7 @@ def _reference_iterative(m, cset, config):
         if step < config.tol:
             converged = True
             break
-    return estimators.IterationResult(best, path, iterations, converged)
+    return estimators.IterationResult(best, path, iterations, converged, restarts)
 
 
 def _denoising_objective(cset, t, seed, p1, p2):
@@ -237,9 +238,57 @@ def test_iterative_matches_reference_loop_bit_for_bit():
         assert got.trace_path == want.trace_path, name
         assert got.iterations == want.iterations, name
         assert got.converged == want.converged, name
+        assert got.restarts == want.restarts, name
+        assert (got.restarts >= 1) if name == "restart" else (got.restarts == 0), name
         seen_converged.add(got.converged)
         if name == "nonneg r=1 t=2":
             assert not got.converged and got.iterations == 200
         if name == "iteration cap":
             assert not got.converged and got.iterations == 7
     assert seen_converged == {True, False}
+
+
+def _spiked(m, cset, seed):
+    """m plus a spike on a member of cset a thousand times its spectral norm,
+    so that the power loop converges within a few steps."""
+    w = constraints.random_member(cset, seed).values
+    return m + 1e3 * max(np.linalg.norm(m, 2), 1.0) * (w @ w.T)
+
+
+def test_engine_blocks_match_reference_loop_bit_for_bit():
+    # each case's matrix between fast-converging companions, run in blocks of
+    # 1, 2, 3 and all four, so that slots leave the block around it
+    mixed = set()
+    for name, m, cset, knobs in _equivalence_cases():
+        cfg = EstimatorConfig(**knobs)
+        stack = np.stack([_spiked(m, cset, 1), m, _spiked(m, cset, 2),
+                          _spiked(m, cset, 3)])
+        wants = [_reference_iterative(one, cset, cfg) for one in stack]
+        for size in (1, 2, 3, len(stack)):
+            for start in range(0, len(stack), size):
+                block = stack[start:start + size].copy()
+                gots = iterative_projection_batch(block, cset, cfg)
+                assert len(gots) == len(block)
+                if size == len(stack):
+                    mixed.add((name, frozenset(g.converged for g in gots)))
+                for offset, got in enumerate(gots):
+                    want = wants[start + offset]
+                    label = (name, size, start + offset)
+                    assert np.array_equal(got.frame.values, want.frame.values), label
+                    assert got.trace_path == want.trace_path, label
+                    assert got.iterations == want.iterations, label
+                    assert got.converged == want.converged, label
+                    assert got.restarts == want.restarts, label
+    # a block that runs one loop to the cap while others leave it early
+    assert ("nonneg r=1 t=2", frozenset({True, False})) in mixed
+    assert ("iteration cap", frozenset({True, False})) in mixed
+    assert ("restart", frozenset({True})) in mixed
+
+
+def test_engine_empty_block_and_shape_guard():
+    cset = constraints.unconstrained(4, 1)
+    assert iterative_projection_batch(np.empty((0, 4, 4)), cset) == []
+    with pytest.raises(DimensionMismatch):
+        iterative_projection_batch(np.zeros((2, 5, 5)), cset)
+    with pytest.raises(DimensionMismatch):
+        iterative_projection_estimate(np.zeros((4, 5)), cset)

@@ -10,7 +10,8 @@ from subspace_est.geometry import SpectrumSpec, orthonormalize
 from subspace_est.harness import (PhaseTransitionFit, RiskEstimate, SweepRow,
                                   detect_phase_transition, fit_rate,
                                   monte_carlo_risk, read_sweep_csv, run_trial,
-                                  sweep, theory_rate, write_sweep_csv)
+                                  run_trials, sweep, theory_rate,
+                                  write_sweep_csv)
 
 
 def _wigner_model(p=8, t=6.0, sigma=1.0, seed=0, r=1):
@@ -53,6 +54,36 @@ def test_monte_carlo_risk_aggregation_matches_trials():
     # first half of a doubled run is the same stream
     half = monte_carlo_risk(model, cset, _spectral(), trials=8)
     assert half.mean_distance == np.mean(vals[:8])
+
+
+def test_monte_carlo_risk_same_at_every_block_size(monkeypatch):
+    # weak signal and a 40-step cap: some loops converge, some hit the cap
+    model = _wigner_model(p=12, t=2.5, seed=4, r=2)
+    cset = constraints.sparse(12, 2, 4)
+    config = EstimatorConfig(max_iter=40)
+    trials = 7
+    want = monte_carlo_risk(model, cset, config, trials)
+    for size in (1, 3, trials):
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * 12 * 12 * size)
+        assert monte_carlo_risk(model, cset, config, trials) == want, size
+    losses = run_trials(model, cset, config, range(trials))
+    assert losses == [run_trial(model, cset, config, i) for i in range(trials)]
+    assert want.mean_distance == np.mean(losses)
+
+
+def test_monte_carlo_risk_golden_bits():
+    # seed-0 risks of the benchmark's risk-lowsnr and risk-sparse-small
+    # commands, recorded when every trial ran its own power loop
+    lowsnr = models.ModelSpec("denoising", 1, SpectrumSpec.flat(2.0, 1), 1.0,
+                              seed=0, p1=200, p2=400)
+    est = monte_carlo_risk(lowsnr, constraints.nonneg(200, 1), EstimatorConfig(), 10)
+    assert est.mean_distance.hex() == "0x1.3f51c17c865cap+0"
+    assert est.stderr.hex() == "0x1.50a7b32e2dcd0p-7"
+    sparse = models.ModelSpec("wigner", 2, SpectrumSpec.flat(8.0, 2), 1.0,
+                              seed=0, p=40)
+    est = monte_carlo_risk(sparse, constraints.sparse(40, 2, 6), EstimatorConfig(), 50)
+    assert est.mean_distance.hex() == "0x1.de776964c489dp-1"
+    assert est.stderr.hex() == "0x1.97c28d46f88e1p-5"
 
 
 def test_run_trial_loss_above_diameter_raises(monkeypatch):
