@@ -341,7 +341,10 @@ def _cmd_entropy(args) -> int:
     _write_json(os.path.join(out_dir, "entropy.json"), {
         "dudley": estimate.dudley_value, "dudley_prime": estimate.dudley_prime,
         "epsilons": list(estimate.epsilons),
-        "log_cover": list(estimate.log_covering)})
+        "log_cover": list(estimate.log_covering),
+        "unresolved": list(estimate.unresolved),
+        "unresolved_share": dict(zip(("dudley", "dudley_prime"),
+                                     estimate.unresolved_share))})
     _write_resolved("entropy", out_dir, resolved)
     return 0
 

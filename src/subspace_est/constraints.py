@@ -2,9 +2,9 @@
 
 Each set lives inside the orthonormal p x r frames.  `project_batch` maps
 every slice of a stack of matrices to a member and `project` is its one-slice
-case, `contains` tests membership, and `random_member` draws a member for
-Monte Carlo work.  `ConstraintSet.rate_term` gives the set's entropy term in
-the minimax rate.
+case, `contains` tests membership, and `random_members` draws a stack of
+members for Monte Carlo work, with `random_member` its one-slice case.
+`ConstraintSet.rate_term` gives the set's entropy term in the minimax rate.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, RankDeficient
 from .geometry import (OrthonormalFrame, _as_matrix, frobenius_norms,
-                       orthonormalize, orthonormalize_batch)
+                       orthonormalize_batch)
 
 SPARSE = "sparse"
 NONNEG = "nonneg"
@@ -130,11 +130,6 @@ def contains(cset: ConstraintSet, frame: OrthonormalFrame, tol: float = 1e-8) ->
     return bool(np.max(np.abs(np.abs(m) - 1.0 / np.sqrt(cset.p))) <= tol)
 
 
-def _polar_factor(m: np.ndarray) -> np.ndarray:
-    w, _, vt = np.linalg.svd(m, full_matrices=False)
-    return w @ vt
-
-
 def _disjoint_support_cleanup(w: np.ndarray, original: np.ndarray) -> np.ndarray:
     """Force row-disjoint column supports, then give every column unit norm."""
     p, r = w.shape
@@ -176,26 +171,44 @@ def _project_nonneg_rank_one(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def _project_nonneg(m: np.ndarray) -> np.ndarray:
-    """Alternating projection of one p x r matrix, r > 1."""
-    r = m.shape[1]
-    u = m.copy()
+def _project_nonneg_stack(s: np.ndarray) -> tuple:
+    """Alternating projection of every p x r slice of a stack, r > 1.
+
+    Each round clips the live slices, tests them for a zero clip, and moves
+    the rest to the polar factor of their clip; a slice leaves the live set
+    when its clip is zero or its move falls below _NN_MOVE_TOL.  The zero
+    test and the polar factor stay two svd calls, as on one slice.  The
+    final feasibility pass then runs slice by slice.
+    """
+    r = s.shape[2]
+    u = s.copy()
+    live = np.arange(s.shape[0])
     for _ in range(_NN_ROUNDS):
-        clipped = np.clip(u, 0.0, None)
-        if np.all(np.linalg.svd(clipped, compute_uv=False) < 1e-12):
+        clipped = np.clip(u[live], 0.0, None)
+        nonzero = ~np.all(np.linalg.svd(clipped, compute_uv=False) < 1e-12, axis=1)
+        live, clipped = live[nonzero], clipped[nonzero]
+        if not live.size:
             break
-        nxt = _polar_factor(clipped)
-        if np.linalg.norm(nxt - u) < _NN_MOVE_TOL:
-            u = nxt
-            break
-        u = nxt
-    w = np.clip(u, 0.0, None)
-    norms = np.linalg.norm(w, axis=0)
-    if np.all(norms > 1e-12):
-        cand = w / norms
-        if np.max(np.abs(cand.T @ cand - np.eye(r))) <= 1e-12:
-            return cand
-    return _disjoint_support_cleanup(w, m)
+        w, _, vt = np.linalg.svd(clipped, full_matrices=False)
+        nxt = w @ vt
+        moving = ~(frobenius_norms(nxt - u[live]) < _NN_MOVE_TOL)
+        u[live] = nxt
+        live = live[moving]
+    members = np.empty_like(s)
+    ok = np.ones(s.shape[0], dtype=bool)
+    for i in range(s.shape[0]):
+        w = np.clip(u[i], 0.0, None)
+        norms = np.linalg.norm(w, axis=0)
+        if np.all(norms > 1e-12):
+            cand = w / norms
+            if np.max(np.abs(cand.T @ cand - np.eye(r))) <= 1e-12:
+                members[i] = cand
+                continue
+        try:
+            members[i] = _disjoint_support_cleanup(w, s[i])
+        except DegenerateInput:
+            ok[i] = False
+    return members, ok
 
 
 def project_batch(cset: ConstraintSet, stack) -> tuple:
@@ -213,8 +226,9 @@ def project_batch(cset: ConstraintSet, stack) -> tuple:
     "none" re-orthonormalizes; "sparse" keeps the k rows of largest Euclidean
     norm (a shared-support reduction) and re-orthonormalizes the surviving
     block; "nonneg" clips negatives for r = 1, and for r > 1 alternates
-    clipping with polar orthonormalization before a final feasibility pass,
-    one slice at a time.
+    clipping with polar orthonormalization on the whole stack, each slice
+    leaving it on its own exit test, before a final feasibility pass per
+    slice.
     """
     s = np.asarray(stack, dtype=float)
     if s.ndim != 3 or s.shape[1:] != (cset.p, cset.r):
@@ -239,14 +253,7 @@ def project_batch(cset: ConstraintSet, stack) -> tuple:
         return members, ok
     if cset.r == 1:
         return _project_nonneg_rank_one(s), np.ones(count, dtype=bool)
-    members = np.empty_like(s)
-    ok = np.ones(count, dtype=bool)
-    for i in range(count):
-        try:
-            members[i] = _project_nonneg(s[i])
-        except DegenerateInput:
-            ok[i] = False
-    return members, ok
+    return _project_nonneg_stack(s)
 
 
 def project(cset: ConstraintSet, u) -> OrthonormalFrame:
@@ -284,33 +291,59 @@ def as_generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
 
-def _haar(p: int, r: int, rng: np.random.Generator) -> OrthonormalFrame:
-    return orthonormalize(rng.standard_normal((p, r)))
+def _orthonormal_or_raise(stack: np.ndarray) -> np.ndarray:
+    frames, full_rank = orthonormalize_batch(stack)
+    if not full_rank.all():
+        raise RankDeficient("matrix has (numerically) dependent columns")
+    return frames
+
+
+def random_members(cset: ConstraintSet, seed, count: int) -> np.ndarray:
+    """Draw count members as a (count, p, r) array of raw frames.
+
+    Slice i is bit for bit the i-th of count consecutive random_member draws
+    on the same generator, so a draw split into blocks on one generator
+    equals one call.  Draws are Haar where the set is rotation invariant,
+    else a natural seeded surrogate: a uniform support with a Haar block
+    ("sparse"), fair signs ("signs"), or absolute Gaussians normalized for
+    r = 1 and projected for r > 1 ("nonneg").  Gaussian draws come from one
+    generator call; sparse supports and signs are drawn slice by slice.
+    Raises RankDeficient or DegenerateInput where a draw has no member.
+    """
+    rng = as_generator(seed)
+    p, r = cset.p, cset.r
+    if cset.kind == SIGNS:
+        s = np.empty((count, p))
+        for i in range(count):
+            s[i] = rng.integers(0, 2, size=p) * 2.0 - 1.0
+        return s[:, :, None] / np.sqrt(p)
+    if cset.kind == SPARSE:
+        supports = np.empty((count, cset.k), dtype=np.intp)
+        blocks = np.empty((count, cset.k, r))
+        for i in range(count):
+            supports[i] = np.sort(rng.choice(p, size=cset.k, replace=False))
+            blocks[i] = rng.standard_normal((cset.k, r))
+        blocks = _orthonormal_or_raise(blocks)
+        out = np.zeros((count, p, r))
+        np.put_along_axis(out, supports[:, :, None], blocks, axis=1)
+        return out
+    if cset.kind == UNCONSTRAINED:
+        return _orthonormal_or_raise(rng.standard_normal((count, p, r)))
+    if cset.kind == SUBSPACE:
+        inner = _orthonormal_or_raise(rng.standard_normal((count, cset.basis.r, r)))
+        return cset.basis.values @ inner
+    draws = np.abs(rng.standard_normal((count, p, r)))
+    if r == 1:
+        return draws / frobenius_norms(draws)[:, None, None]
+    members, ok = project_batch(cset, draws)
+    if not ok.all():
+        raise DegenerateInput("no nonneg member for this draw")
+    return members
 
 
 def random_member(cset: ConstraintSet, seed) -> OrthonormalFrame:
-    """Draw a member: Haar where the set is rotation invariant, else a
-    natural seeded surrogate (uniform support, clipped Gaussians, fair signs)."""
-    rng = as_generator(seed)
-    p, r = cset.p, cset.r
-    if cset.kind == UNCONSTRAINED:
-        return _haar(p, r, rng)
-    if cset.kind == SUBSPACE:
-        inner = _haar(cset.basis.r, r, rng)
-        return OrthonormalFrame(cset.basis.values @ inner.values)
-    if cset.kind == SPARSE:
-        support = np.sort(rng.choice(p, size=cset.k, replace=False))
-        block = _haar(cset.k, r, rng)
-        out = np.zeros((p, r))
-        out[support, :] = block.values
-        return OrthonormalFrame(out)
-    if cset.kind == SIGNS:
-        s = rng.integers(0, 2, size=p) * 2.0 - 1.0
-        return OrthonormalFrame(s[:, None] / np.sqrt(p))
-    draw = np.abs(rng.standard_normal((p, r)))
-    if r == 1:
-        return OrthonormalFrame(draw / np.linalg.norm(draw))
-    return project(cset, draw)
+    """Draw one member: the one-slice case of random_members."""
+    return OrthonormalFrame(random_members(cset, seed, 1)[0])
 
 
 def parse_constraint(text: str, p: int, r: int) -> ConstraintSet:

@@ -10,7 +10,10 @@ The normalized projector differences
     T(C, U) = { (W W' - U U') / ||W W' - U U'||_F : W in C, W not aligned with U }
 
 carry the Frobenius metric; entropy integrals over T summarize how rich the
-constraint set looks from U.
+constraint set looks from U.  Greedy nets cannot count past the number of
+draws, so each entropy estimate flags the scales where its net took every
+draw.  Members are drawn and compared as stacks (constraints.random_members
+and one stacked product per net row), bit for bit as one draw at a time.
 """
 
 from __future__ import annotations
@@ -24,10 +27,17 @@ import numpy as np
 
 from . import constraints
 from .errors import BudgetExhausted, DimensionMismatch, InfeasibleParameters
-from .geometry import OrthonormalFrame, subspace_distance
+from .geometry import (OrthonormalFrame, check_orthonormal, frobenius_norms,
+                       subspace_distance)
 from .matio import write_matrix
 
 _SLACK = 1e-9
+
+# tangent draws run in blocks of at most _DRAW_BYTES of p x r frames, and
+# their p x p projector differences are formed _CHUNK_BYTES at a time; larger
+# blocks buy little speed and cost peak memory
+_DRAW_BYTES = 1 << 17
+_CHUNK_BYTES = 1 << 19
 
 
 @dataclass
@@ -101,6 +111,12 @@ class EntropyEstimate:
 
     dudley_value integrates sqrt(log N(eps)) over the grid, dudley_prime
     integrates log N(eps); both by the trapezoid rule on the given grid.
+    unresolved[i] is True where the net at epsilons[i] took every drawn
+    element as a center, so the count there may be a floor set by the
+    number of draws rather than a measurement.  unresolved_share holds, for dudley_value and then
+    dudley_prime, the part of the integral contributed by those scales (the
+    trapezoid rule on the integrand zeroed at resolved scales), as a share
+    of the whole; a zero integral has share 0.
     """
 
     epsilons: tuple
@@ -108,18 +124,25 @@ class EntropyEstimate:
     dudley_value: float
     dudley_prime: float
     budget: int
+    unresolved: tuple | None = None
+    unresolved_share: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
         logs = tuple(float(v) for v in self.log_covering)
-        if len(eps) != len(logs):
-            raise DimensionMismatch("epsilons and log_covering lengths differ")
+        flags = (False,) * len(eps) if self.unresolved is None else tuple(
+            bool(f) for f in self.unresolved)
+        if len(eps) != len(logs) or len(eps) != len(flags):
+            raise DimensionMismatch("epsilons, log_covering and unresolved lengths differ")
         if any(b <= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilons must be strictly increasing")
         if any(b > a + _SLACK for a, b in zip(logs, logs[1:])):
             raise ValueError("log_covering must be non-increasing in epsilon")
         object.__setattr__(self, "epsilons", eps)
         object.__setattr__(self, "log_covering", logs)
+        object.__setattr__(self, "unresolved", flags)
+        object.__setattr__(self, "unresolved_share",
+                           tuple(float(s) for s in self.unresolved_share))
 
 
 def vg_codebook(n: int, d: int, budget: int = 10 ** 6, seed: int = 0,
@@ -273,6 +296,13 @@ def _greedy_net_counts(grid, size: int, rows) -> np.ndarray:
     return counts
 
 
+def _captured(stack, w):
+    """||W' w||_F^2 for every slice W of a (B, p, r) stack, by one stacked
+    product on a transposed view of the stack (no copy)."""
+    cross = stack.swapaxes(1, 2) @ w
+    return np.sum(cross * cross, axis=(1, 2))
+
+
 def covering_number_estimate(cset: constraints.ConstraintSet, epsilon: float,
                              budget: int = 2000, seed: int = 0) -> int:
     """Greedy net size over budget random members: a lower covering estimate.
@@ -281,14 +311,12 @@ def covering_number_estimate(cset: constraints.ConstraintSet, epsilon: float,
     metric; a draw becomes a new net center whenever it is at least epsilon
     away from all current centers.
     """
-    rng = constraints.as_generator(seed)
-    stack = np.stack([constraints.random_member(cset, rng).values
-                      for _ in range(budget)])
+    stack = constraints.random_members(cset, seed, budget)
+    check_orthonormal(stack)
     r = stack.shape[2]
 
     def rows(j):
-        cross = np.einsum("bpr,ps->brs", stack, stack[j], optimize=True)
-        inner = np.sum(cross * cross, axis=(1, 2))
+        inner = _captured(stack, stack[j])
         return np.sqrt(np.clip(2.0 * (r - inner), 0.0, None))
 
     return int(_greedy_net_counts([epsilon], budget, rows)[0])
@@ -296,37 +324,49 @@ def covering_number_estimate(cset: constraints.ConstraintSet, epsilon: float,
 
 def _draw_tangent_stack(cset, center, budget, rng):
     """Stack of member frames defining tangent elements, with their center
-    overlaps and projector-difference norms."""
+    overlaps and projector-difference norms.
+
+    Members are drawn in blocks with one orthonormality check per block; a
+    draw whose projector equals the center's is skipped.
+    """
     u = center.values
+    p, r = u.shape
     proj = u @ u.T
+    block = max(1, _DRAW_BYTES // (8 * p * r))
+    chunk = max(1, _CHUNK_BYTES // (8 * p * p))
     frames, overlaps, norms = [], [], []
-    for _ in range(budget):
-        w = constraints.random_member(cset, rng)
-        cross = w.values.T @ u
-        captured = float(np.sum(cross * cross))
+    for start in range(0, budget, block):
+        draws = constraints.random_members(cset, rng, min(block, budget - start))
+        check_orthonormal(draws)
         # the norm must come from the projector difference itself: the Gram
         # form sqrt(2(r - captured)) rounds to ~1e-8 on draws equal to the
         # center, which would defeat the skip rule below
-        norm = float(np.linalg.norm(w.values @ w.values.T - proj))
-        if norm < 1e-9:
-            continue
-        frames.append(w.values)
-        overlaps.append(captured)
-        norms.append(norm)
-    if not frames:
+        norm = np.concatenate([
+            frobenius_norms(sub @ sub.swapaxes(1, 2) - proj)
+            for sub in np.split(draws, range(chunk, len(draws), chunk))])
+        keep = ~(norm < 1e-9)
+        frames.append(draws[keep])
+        overlaps.append(_captured(frames[-1], u))
+        norms.append(norm[keep])
+    if not any(len(f) for f in frames):
         return None
-    return np.stack(frames), np.asarray(overlaps), np.asarray(norms)
+    return np.concatenate(frames), np.concatenate(overlaps), np.concatenate(norms)
 
 
 def _tangent_distance_rows(stack, overlaps, norms, idx):
     """Frobenius distances from tangent element idx to every element."""
-    w = stack[idx]
-    cross = np.einsum("bpr,ps->brs", stack, w, optimize=True)
-    inner = np.sum(cross * cross, axis=(1, 2))
+    inner = _captured(stack, stack[idx])
     r = stack.shape[2]
     numer = inner - overlaps - overlaps[idx] + r
     sq = 2.0 - 2.0 * numer / (norms * norms[idx])
     return np.sqrt(np.clip(sq, 0.0, None))
+
+
+def _unresolved_share(integrand, unresolved, grid, whole: float) -> float:
+    """Share of the trapezoid integral whole carried by the unresolved scales."""
+    if whole <= 0.0:
+        return 0.0
+    return float(np.trapezoid(np.where(unresolved, integrand, 0.0), grid)) / whole
 
 
 def dudley_estimate(cset: constraints.ConstraintSet, center: OrthonormalFrame,
@@ -335,9 +375,11 @@ def dudley_estimate(cset: constraints.ConstraintSet, center: OrthonormalFrame,
     """Entropy integrals of T(cset, center) from nested greedy nets.
 
     Covering counts come from nested greedy nets over one fixed stream of
-    random members, so they are non-increasing in epsilon.  Both integrals
-    use the trapezoid rule on the grid; a singleton tangent set (or none at
-    all) gives zero.
+    random members, drawn and compared as stacks, so they are non-increasing
+    in epsilon.  Both integrals use the trapezoid rule on the grid; a
+    singleton tangent set (or none at all) gives zero.  A scale whose net
+    takes every drawn tangent element is flagged unresolved, and the
+    estimate reports what share of each integral those scales carry.
     """
     if epsilon_grid is None:
         epsilon_grid = np.geomspace(0.01, math.sqrt(2.0), 24)
@@ -347,15 +389,20 @@ def dudley_estimate(cset: constraints.ConstraintSet, center: OrthonormalFrame,
     rng = constraints.as_generator(seed)
     drawn = _draw_tangent_stack(cset, center, budget, rng)
     counts = np.zeros(grid.size, dtype=np.int64)
+    unresolved = np.zeros(grid.size, dtype=bool)
     if drawn is not None:
         stack, overlaps, norms = drawn
         counts = _greedy_net_counts(
             grid, stack.shape[0],
             lambda j: _tangent_distance_rows(stack, overlaps, norms, j))
+        unresolved = counts == stack.shape[0]
     logs = np.where(counts > 0, np.log(np.maximum(counts, 1)), 0.0)
     roots = np.sqrt(logs)
     dudley_value = float(np.trapezoid(roots, grid))
     dudley_prime = float(np.trapezoid(logs, grid))
+    shares = (_unresolved_share(roots, unresolved, grid, dudley_value),
+              _unresolved_share(logs, unresolved, grid, dudley_prime))
     return EntropyEstimate(epsilons=tuple(grid), log_covering=tuple(logs),
                            dudley_value=dudley_value, dudley_prime=dudley_prime,
-                           budget=budget)
+                           budget=budget, unresolved=tuple(unresolved),
+                           unresolved_share=shares)

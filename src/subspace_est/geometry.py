@@ -17,6 +17,7 @@ above that floor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +127,7 @@ def frobenius_norms(stack) -> np.ndarray:
     taken by a (1 x n)(n x 1) product, which matches np.linalg.norm of the
     slice bit for bit; a stacked sum of squares rounds differently.
     """
-    flat = stack.reshape(stack.shape[0], 1, -1)
+    flat = stack.reshape(stack.shape[0], 1, math.prod(stack.shape[1:]))
     return np.sqrt((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
 
 

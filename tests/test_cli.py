@@ -204,6 +204,9 @@ def test_entropy_singleton_dudley_zero(tmp_path):
     assert payload["dudley"] == 0.0
     assert payload["dudley_prime"] == 0.0
     assert len(payload["epsilons"]) == 24
+    # every draw equals the center, so no scale took a drawn element
+    assert payload["unresolved"] == [False] * 24
+    assert payload["unresolved_share"] == {"dudley": 0.0, "dudley_prime": 0.0}
 
 
 def test_oracle_strong_signal_agreement(tmp_path):

@@ -10,7 +10,8 @@ from subspace_est.entropy import (EntropyEstimate, PackingSet,
                                   greedy_local_packing,
                                   sign_packing_construction,
                                   sparse_packing_construction, vg_codebook)
-from subspace_est.errors import BudgetExhausted, InfeasibleParameters
+from subspace_est.errors import (BudgetExhausted, DimensionMismatch,
+                                 InfeasibleParameters)
 from subspace_est.geometry import OrthonormalFrame, subspace_distance
 from subspace_est.matio import read_matrix
 
@@ -276,6 +277,54 @@ def test_dudley_estimate_basic():
     assert est.dudley_value == again.dudley_value
     with pytest.raises(ValueError):
         dudley_estimate(cset, center, epsilon_grid=[0.0, 0.5])
+
+
+_LOG_1000 = math.log(1000).hex()
+
+
+@pytest.mark.parametrize("text, value, prime, tail", [
+    ("sparse:k=8", "0x1.4e4595dd3f398p+1", "0x1.ad2fa1f3c2866p+2",
+     ["0x1.b931aa6c3860ap+2", "0x1.4e1a4f518c72bp+2", "0x0.0p+0", "0x0.0p+0"]),
+    ("nonneg", "0x1.55f106488b08dp+1", "0x1.bfdd36bae29a8p+2",
+     [_LOG_1000, "0x1.ab029678a5bfep+2", "0x0.0p+0", "0x0.0p+0"]),
+])
+def test_dudley_p64_golden(text, value, prime, tail):
+    # the two entropy commands of the p = 64 benchmark at seed 0 (center from
+    # seed 0, draws from seed 1, budget 1000), recorded bit for bit from the
+    # implementation that drew and compared one member at a time
+    cset = constraints.parse_constraint(text, 64, 2)
+    center = constraints.random_member(cset, 0)
+    grid = np.geomspace(0.01, math.sqrt(2.0), 24)
+    est = dudley_estimate(cset, center, epsilon_grid=grid, budget=1000, seed=1)
+    assert est.dudley_value.hex() == value
+    assert est.dudley_prime.hex() == prime
+    assert [v.hex() for v in est.log_covering] == [_LOG_1000] * 20 + tail
+
+
+def test_dudley_flags_unresolved_scales():
+    cset = constraints.nonneg(64, 2)
+    center = constraints.random_member(cset, 0)
+    est = dudley_estimate(cset, center, budget=200, seed=1)
+    drawn, _, _ = entropy._draw_tangent_stack(
+        cset, center, 200, constraints.as_generator(1))
+    full = math.log(len(drawn))
+    assert est.unresolved == tuple(v == full for v in est.log_covering)
+    assert any(est.unresolved) and not all(est.unresolved)
+    grid = np.asarray(est.epsilons)
+    flags = np.asarray(est.unresolved)
+    logs = np.asarray(est.log_covering)
+    want = (np.trapezoid(np.where(flags, np.sqrt(logs), 0.0), grid) / est.dudley_value,
+            np.trapezoid(np.where(flags, logs, 0.0), grid) / est.dudley_prime)
+    assert est.unresolved_share == pytest.approx(want, rel=1e-12)
+    assert all(0.0 < s < 1.0 for s in est.unresolved_share)
+    # a singleton tangent set, drawn many times over, is resolved at every
+    # scale, and its integrals vanish
+    single = dudley_estimate(constraints.signs(2),
+                             OrthonormalFrame(np.array([[1.0], [1.0]]) / math.sqrt(2.0)),
+                             budget=200, seed=0)
+    assert not any(single.unresolved) and single.unresolved_share == (0.0, 0.0)
+    with pytest.raises(DimensionMismatch):
+        EntropyEstimate((0.1, 0.2), (2.0, 1.0), 1.0, 2.0, 100, unresolved=(True,))
 
 
 def test_dudley_sparse_scaling_high_dim():
