@@ -14,14 +14,13 @@ from .errors import (BoundViolated, BudgetExhausted, ConstraintViolation,
                      NotPositiveDefinite, RankDeficient, SubspaceEstError,
                      TooFewRows, TooLarge)
 from .estimators import (EstimatorConfig, IterationResult, estimate,
-                         exhaustive_argmax, iterative_projection_estimate,
-                         objective, objective_matrix, spectral_estimate)
+                         exhaustive_argmax, objective, objective_matrix,
+                         spectral_estimate)
 from .geometry import (OrthonormalFrame, SpectrumSpec, orthonormalize,
-                       procrustes_align, projection_matrix, quadratic_form_gap,
-                       subspace_distance)
+                       procrustes_align, quadratic_form_gap, subspace_distance)
 from .harness import (PhaseTransitionFit, RateFit, RiskEstimate, SweepRow,
                       detect_phase_transition, fit_rate, monte_carlo_risk,
-                      run_trial, sweep, theory_rate)
+                      sweep, theory_rate)
 from .matio import read_matrix, write_matrix
 from .models import (ModelSpec, SampledInstance, kl_denoising_fixed,
                      kl_gaussian_generic, kl_spiked_wishart, sample_covariance,
@@ -39,11 +38,10 @@ __all__ = [
     "TooFewRows", "TooLarge", "contains", "covering_number_estimate",
     "detect_phase_transition", "dudley_estimate", "estimate",
     "exhaustive_argmax", "fit_rate", "greedy_local_packing",
-    "iterative_projection_estimate", "kl_denoising_fixed",
-    "kl_gaussian_generic", "kl_spiked_wishart", "monte_carlo_risk", "nonneg",
-    "objective", "objective_matrix", "orthonormalize", "parse_constraint",
-    "procrustes_align", "project", "projection_matrix", "quadratic_form_gap",
-    "random_member", "read_matrix", "run_trial", "sample_covariance",
+    "kl_denoising_fixed", "kl_gaussian_generic", "kl_spiked_wishart",
+    "monte_carlo_risk", "nonneg", "objective", "objective_matrix",
+    "orthonormalize", "parse_constraint", "procrustes_align", "project",
+    "quadratic_form_gap", "random_member", "read_matrix", "sample_covariance",
     "sample_instance", "sign_packing_construction", "signs", "sparse",
     "sparse_packing_construction", "spectral_estimate", "subspace",
     "subspace_distance", "sweep", "theory_rate", "unconstrained",

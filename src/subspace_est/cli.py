@@ -357,22 +357,19 @@ def _cmd_oracle(args) -> int:
         noise_sd=resolved["sigma"], seed=resolved["seed"],
         n=resolved["n"], p=resolved["p"])
     cset = constraints.signs(model.n)
-    config = estimators.EstimatorConfig(
-        method=estimators.ITERATIVE, max_iter=resolved["max_iter"],
-        tol=resolved["tol"], init=resolved["init"],
-        init_seed=resolved["init_seed"])
+    config = _estimator_config(dict(resolved, method=estimators.ITERATIVE))
+    exhaustive = _estimator_config(dict(resolved, method=estimators.EXHAUSTIVE))
     trials = resolved["trials"]
     agree = 0
     gaps = []
-    for index in range(trials):
-        instance = models.sample_instance(model, cset, trial_index=index)
-        m = estimators.objective_matrix(models.CLUSTERING, instance.observation)
-        iterate = estimators.iterative_projection_estimate(m, cset, config).frame
-        exact = estimators.exhaustive_argmax(cset, m)
-        if subspace_distance(iterate, exact) <= 1e-9:
+    # each run samples its own blocks, so both see the same instances
+    for (exact, truth), (iterate, _) in zip(
+            harness.run_trials(model, cset, exhaustive, trials),
+            harness.run_trials(model, cset, config, trials)):
+        if subspace_distance(iterate.frame, exact.frame) <= 1e-9:
             agree += 1
-        gaps.append(subspace_distance(iterate, instance.truth_left)
-                    - subspace_distance(exact, instance.truth_left))
+        gaps.append(subspace_distance(iterate.frame, truth)
+                    - subspace_distance(exact.frame, truth))
     out_dir = resolved["out"]
     _ensure_out_dir(out_dir)
     _write_json(os.path.join(out_dir, "oracle.json"), {

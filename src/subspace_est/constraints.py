@@ -269,21 +269,6 @@ def project(cset: ConstraintSet, u) -> OrthonormalFrame:
     return OrthonormalFrame(members[0])
 
 
-def null_space_basis(a) -> OrthonormalFrame:
-    """Orthonormal basis of the orthogonal complement of the columns of a.
-
-    For a p x (p - k) matrix of full column rank this returns a p x k frame Q
-    with a' Q = 0 entrywise below 1e-9.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] <= a.shape[1]:
-        raise DimensionMismatch(f"need a tall matrix, got shape {a.shape}")
-    w, sv, _ = np.linalg.svd(a, full_matrices=True)
-    if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
-        raise RankDeficient("columns of a are numerically dependent")
-    return OrthonormalFrame(w[:, a.shape[1]:])
-
-
 def as_generator(seed) -> np.random.Generator:
     """Accept an int seed or a Generator and return a Generator."""
     if isinstance(seed, np.random.Generator):

@@ -18,9 +18,7 @@ and one stacked product per net row), bit for bit as one draw at a time.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +27,6 @@ from . import constraints
 from .errors import BudgetExhausted, DimensionMismatch, InfeasibleParameters
 from .geometry import (OrthonormalFrame, check_orthonormal, frobenius_norms,
                        subspace_distance)
-from .matio import write_matrix
 
 _SLACK = 1e-9
 
@@ -79,30 +76,6 @@ class PackingSet:
             for j in range(i + 1, len(self.members)):
                 best = min(best, subspace_distance(self.members[i], self.members[j]))
         return best
-
-    def export(self, directory) -> None:
-        """One CSV per member plus a JSON manifest."""
-        os.makedirs(directory, exist_ok=True)
-        write_matrix(os.path.join(directory, "center.csv"), self.center.values)
-        names = []
-        for i, m in enumerate(self.members):
-            name = f"member_{i:04d}.csv"
-            names.append(name)
-            values = m.values if isinstance(m, OrthonormalFrame) else m
-            write_matrix(os.path.join(directory, name), values)
-        manifest = {
-            "alpha": self.alpha,
-            "center": "center.csv",
-            "member_count": len(self.members),
-            "members": names,
-            "min_pairwise_distance": self.min_pairwise_distance()
-            if len(self.members) > 1 else None,
-            "radius": self.radius,
-            "separation": self.separation,
-        }
-        with open(os.path.join(directory, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 @dataclass

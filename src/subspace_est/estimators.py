@@ -25,7 +25,6 @@ _METHODS = (ITERATIVE, EXHAUSTIVE, SPECTRAL)
 
 SPECTRAL_INIT = "spectral"
 RANDOM_INIT = "random"
-PROVIDED_INIT = "provided"
 
 _EXHAUSTIVE_LIMIT = 20
 _MAX_RESTARTS = 5
@@ -37,16 +36,13 @@ class EstimatorConfig:
     max_iter: int = 200
     tol: float = 1e-8
     init: str = SPECTRAL_INIT
-    init_frame: OrthonormalFrame | None = None
     init_seed: int = 0
 
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.init not in (SPECTRAL_INIT, RANDOM_INIT, PROVIDED_INIT):
+        if self.init not in (SPECTRAL_INIT, RANDOM_INIT):
             raise ValueError(f"unknown init {self.init!r}")
-        if self.init == PROVIDED_INIT and self.init_frame is None:
-            raise ValueError("provided init needs init_frame")
         if self.max_iter < 1 or not self.tol > 0:
             raise ValueError("max_iter must be >= 1 and tol positive")
 
@@ -76,14 +72,9 @@ def objective_matrix(family: str, observation: np.ndarray) -> np.ndarray:
     raise DimensionMismatch(f"unknown family {family!r}")
 
 
-def build_objective_matrix(instance: models.SampledInstance,
-                           family: str | None = None) -> np.ndarray:
-    """objective_matrix for a sampled instance, with a family cross-check."""
-    fam = instance.spec.family if family is None else family
-    if fam != instance.spec.family:
-        raise DimensionMismatch(
-            f"instance family is {instance.spec.family!r}, requested {fam!r}")
-    return objective_matrix(fam, instance.observation)
+def build_objective_matrix(instance: models.SampledInstance) -> np.ndarray:
+    """objective_matrix for a sampled instance of its own family."""
+    return objective_matrix(instance.spec.family, instance.observation)
 
 
 def objective(frame: OrthonormalFrame, m: np.ndarray) -> float:
@@ -112,29 +103,9 @@ def spectral_estimate(m: np.ndarray, rank: int) -> OrthonormalFrame:
 
 def _initial_frame(m: np.ndarray, cset: constraints.ConstraintSet,
                    config: EstimatorConfig) -> OrthonormalFrame:
-    if config.init == PROVIDED_INIT:
-        return constraints.project(cset, config.init_frame)
     if config.init == RANDOM_INIT:
         return constraints.random_member(cset, config.init_seed)
     return constraints.project(cset, spectral_estimate(m, cset.r))
-
-
-def iterative_projection_estimate(m: np.ndarray, cset: constraints.ConstraintSet,
-                                  config: EstimatorConfig | None = None) -> IterationResult:
-    """Alternate multiply-by-M, thin QR, and constraint projection.
-
-    Stops once successive iterates a (new) and b (old) are closer than
-    config.tol in the projector distance or after max_iter rounds.  The step
-    is measured as sqrt(2) ||a - b (b'a)||_F, which equals ||aa' - bb'||_F
-    (both squares are 2 (r - ||b'a||_F^2)) in O(p r^2) and keeps full
-    relative precision near zero.  The returned frame is the best objective
-    value visited, not necessarily the last iterate.  A rank collapse
-    restarts the iteration from a fresh random member, at most five times,
-    before raising RankDeficient; the result counts the restarts.  This is
-    the one-slice case of iterative_projection_batch.
-    """
-    m = np.array(m, dtype=float)
-    return iterative_projection_batch(m[None], cset, config)[0]
 
 
 def _power_step(mu: np.ndarray, cset: constraints.ConstraintSet) -> tuple:
@@ -150,15 +121,25 @@ def _power_step(mu: np.ndarray, cset: constraints.ConstraintSet) -> tuple:
 
 def iterative_projection_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
                                config: EstimatorConfig | None = None) -> list:
-    """iterative_projection_estimate on every slice of a (B, p, p) stack.
+    """Projected power iteration on every slice of a (B, p, p) stack:
+    alternate multiply-by-M, thin QR, and constraint projection.
+
+    A slice stops once successive iterates a (new) and b (old) are closer
+    than config.tol in the projector distance or after max_iter rounds.  The
+    step is measured as sqrt(2) ||a - b (b'a)||_F, which equals
+    ||aa' - bb'||_F (both squares are 2 (r - ||b'a||_F^2)) in O(p r^2) and
+    keeps full relative precision near zero.  Each returned frame is the best
+    objective value its slice visited, not necessarily the last iterate.  A
+    rank collapse restarts the slice's iteration from a fresh random member,
+    at most five times, before raising RankDeficient; the result counts the
+    restarts.
 
     The power loops of all slices run as one stacked block: one stacked
     product, QR, projection and orthonormality check per step.  A slice
-    leaves the block when it converges or reaches max_iter, and a rank
-    collapse restarts only its own slice.  Each result is bit for bit the
-    result of iterative_projection_estimate on that slice alone.  ms is
-    taken over as working memory: its slices are reordered in place as
-    trials finish.
+    leaves the block when it converges or reaches max_iter, and a restart
+    touches only its own slice.  Each result is bit for bit the result of
+    the slice run alone, in a block of one.  ms is taken over as working
+    memory: its slices are reordered in place as trials finish.
     """
     if config is None:
         config = EstimatorConfig()

@@ -116,7 +116,8 @@ def check_orthonormal(stack) -> None:
     slice of a (B, p, r) stack, are orthonormal within FRAME_TOL."""
     gram = stack.swapaxes(-1, -2) @ stack
     err = np.abs(gram - np.eye(stack.shape[-1])).max(initial=0.0)
-    if err > FRAME_TOL:
+    # written so that a NaN error, which compares False, raises too
+    if not err <= FRAME_TOL:
         raise ValueError(f"columns are not orthonormal: max |U'U - I| = {err:.3e}")
 
 
@@ -192,12 +193,6 @@ def procrustes_align(u1, u2):
     rotation = w @ vt
     residual = float(np.linalg.norm(a - b @ rotation))
     return rotation, residual
-
-
-def projection_matrix(u) -> np.ndarray:
-    """The p x p orthogonal projector U U' onto the column space of u."""
-    m = _as_matrix(u)
-    return m @ m.T
 
 
 def quadratic_form_gap(u, spectrum: SpectrumSpec, w, mode: str = "squared") -> float:

@@ -7,8 +7,10 @@ the model family and constraint kind at the sweep knobs, capped at 1 for
 structured sets (sqrt(r) unconstrained); only ratios and fitted slopes are
 meaningful, never absolute levels.
 
-Trials run in stacked blocks: each trial is sampled on its own stream, and
-the power loops of a block run as one stack (estimators.estimate_batch).  All
+run_trials is the one place that turns a model and a trial index into an
+estimate; monte_carlo_risk and the CLI's oracle comparison both read it.
+Trials run in stacked blocks: each trial is sampled on its own stream, and a
+block's estimates run as one stack (estimators.estimate_batch).  All
 randomness is derived from the model seed and the trial index and each
 trial's loop is bit for bit its loop run alone, so every estimate is a pure
 function of its inputs, identical at every block size.
@@ -128,61 +130,50 @@ def _spec_digest(model: models.ModelSpec, cset: constraints.ConstraintSet,
         h.update(np.ascontiguousarray(cset.basis.values).tobytes())
     put(config.method, config.max_iter, config.tol, config.init,
         config.init_seed)
-    if config.init_frame is not None:
-        h.update(np.ascontiguousarray(config.init_frame.values).tobytes())
     return h.hexdigest()[:16]
 
 
 def run_trials(model: models.ModelSpec, cset: constraints.ConstraintSet,
-               config: estimators.EstimatorConfig, indices) -> list:
-    """Losses d(U_hat, U_truth) of the given trials, each simulated on its
-    own stream and estimated in one stacked block.
+               config: estimators.EstimatorConfig, trials: int):
+    """Yield (IterationResult, truth frame) for trials 0 .. trials - 1, in order.
 
-    Each objective matrix is written into the block and its observation
-    dropped, so the block's (B, p, p) stack is the run's working set.
+    Trial i is always simulated on the stream (model.seed, i).  Trials run in
+    blocks of consecutive indices, as many as fit BLOCK_BYTES of objective
+    matrices, and each block is estimated in one stack.  Each objective
+    matrix is written into the block and its observation dropped, so the
+    (B, p, p) block is the run's working set.  A trial's result does not
+    depend on the block it runs in.
     """
-    indices = list(indices)
-    block = np.empty((len(indices), cset.p, cset.p))
-    truths = []
-    for slot, index in enumerate(indices):
-        instance = models.sample_instance(model, cset, trial_index=index)
-        block[slot] = estimators.build_objective_matrix(instance)
-        truths.append(instance.truth_left)
-    results = estimators.estimate_batch(block, cset, config)
-    # loss is bounded by the projector-metric diameter of O(p, r)
-    bound = math.sqrt(2.0 * model.rank) + 1e-9
-    losses = []
-    for result, truth in zip(results, truths):
-        dist = subspace_distance(result.frame, truth)
-        if dist > bound:
-            raise BoundViolated(f"loss {dist} exceeds diameter bound {bound}")
-        losses.append(float(dist))
-    return losses
-
-
-def run_trial(model: models.ModelSpec, cset: constraints.ConstraintSet,
-              config: estimators.EstimatorConfig, trial_index: int) -> float:
-    """Loss d(U_hat, U_truth) of one simulated instance on its own stream:
-    run_trials on a block of one."""
-    return run_trials(model, cset, config, [trial_index])[0]
+    size = max(1, min(trials, BLOCK_BYTES // (8 * cset.p * cset.p)))
+    block = np.empty((size, cset.p, cset.p))
+    for start in range(0, trials, size):
+        count = min(size, trials - start)
+        truths = []
+        for slot in range(count):
+            instance = models.sample_instance(model, cset, trial_index=start + slot)
+            block[slot] = estimators.build_objective_matrix(instance)
+            truths.append(instance.truth_left)
+        yield from zip(estimators.estimate_batch(block[:count], cset, config), truths)
 
 
 def monte_carlo_risk(model: models.ModelSpec, cset: constraints.ConstraintSet,
                      config: estimators.EstimatorConfig, trials: int) -> RiskEstimate:
-    """Mean and standard error of the loss over independent trial streams.
+    """Mean and standard error of the loss d(U_hat, U_truth) over the trials
+    of run_trials.
 
-    Trial i always uses the stream (model.seed, i).  Trials run in blocks of
-    consecutive indices, as many as fit BLOCK_BYTES of objective matrices,
-    and a trial's loss does not depend on the block it runs in, so the
-    result is a pure function of the inputs, the same at every block size,
-    and the first half of a doubled run reproduces exactly.
+    The result is a pure function of the inputs, the same at every block
+    size, and the first half of a doubled run reproduces exactly.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    size = max(1, BLOCK_BYTES // (8 * cset.p * cset.p))
+    # loss is bounded by the projector-metric diameter of O(p, r)
+    bound = math.sqrt(2.0 * model.rank) + 1e-9
     losses = []
-    for start in range(0, trials, size):
-        losses += run_trials(model, cset, config, range(start, min(start + size, trials)))
+    for result, truth in run_trials(model, cset, config, trials):
+        dist = subspace_distance(result.frame, truth)
+        if dist > bound:
+            raise BoundViolated(f"loss {dist} exceeds diameter bound {bound}")
+        losses.append(float(dist))
     arr = np.asarray(losses)
     mean = float(np.mean(arr))
     sd = float(np.std(arr, ddof=1))

@@ -4,8 +4,9 @@ import os
 
 import numpy as np
 
+from subspace_est import harness
 from subspace_est.cli import main
-from subspace_est.matio import read_matrix
+from subspace_est.matio import read_matrix, write_matrix
 
 
 def _snapshot(directory):
@@ -218,3 +219,37 @@ def test_oracle_strong_signal_agreement(tmp_path):
     assert payload["trials"] == 40
     assert payload["agree_count"] >= 38
     assert payload["mean_d_gap"] >= -1e-12
+
+
+def _oracle(out, n, p, t, trials, seed):
+    argv = ["oracle", "--n", str(n), "--p", str(p), "--t", str(t),
+            "--trials", str(trials), "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 0
+    return (out / "oracle.json").read_bytes()
+
+
+def test_oracle_golden_bits(tmp_path):
+    # recorded when the oracle sampled and estimated one trial at a time
+    for knobs, agree, gap in [((12, 20, 6, 200, 3), 125, "0x1.d5bf8d08cc80ap-5"),
+                              ((10, 30, 25, 10, 1), 10, "0x0.0p+0")]:
+        payload = json.loads(_oracle(tmp_path / "oracle", *knobs))
+        assert payload["trials"] == knobs[3]
+        assert payload["agree_count"] == agree, knobs
+        assert payload["mean_d_gap"].hex() == gap, knobs
+
+
+def test_oracle_same_at_every_block_size(tmp_path, monkeypatch):
+    # weak signal: the iterative and exhaustive answers disagree on some trials
+    want = _oracle(tmp_path / "all", 12, 20, 6, 30, 3)
+    assert json.loads(want)["agree_count"] < 30
+    for size in (1, 7, 30):
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * 12 * 12 * size)
+        assert _oracle(tmp_path / f"b{size}", 12, 20, 6, 30, 3) == want, size
+
+
+def test_simulate_non_finite_subspace_basis_exit_two(tmp_path):
+    qfile = tmp_path / "Q.csv"
+    write_matrix(qfile, np.full((40, 3), np.nan))
+    out = tmp_path / "sim"
+    assert _simulate(out, ["--constraint", f"subspace:qfile={qfile}"]) == 2
+    assert not out.exists()

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from subspace_est import constraints
 from subspace_est.constraints import (ConstraintSet, as_generator, contains,
-                                      nonneg, null_space_basis,
-                                      parse_constraint, project, project_batch,
+                                      nonneg, parse_constraint, project, project_batch,
                                       random_member, random_members, signs,
                                       sparse, subspace, unconstrained)
-from subspace_est.errors import DegenerateInput, DimensionMismatch, RankDeficient
+from subspace_est.errors import DegenerateInput, DimensionMismatch
 from subspace_est.geometry import OrthonormalFrame, orthonormalize, subspace_distance
 from subspace_est.matio import write_matrix
 
@@ -118,19 +117,6 @@ def test_subspace_projection_membership_idempotent():
 def test_projection_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         project(nonneg(4, 1), np.zeros((5, 1)))
-
-
-def test_null_space_basis():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((10, 4))
-    q = null_space_basis(a)
-    assert (q.p, q.r) == (10, 6)
-    assert np.max(np.abs(a.T @ q.values)) <= 1e-9
-    assert np.max(np.abs(q.values.T @ q.values - np.eye(6))) <= 1e-9
-    with pytest.raises(RankDeficient):
-        null_space_basis(np.column_stack([a[:, 0], a[:, 0]]))
-    with pytest.raises(DimensionMismatch):
-        null_space_basis(a.T)
 
 
 def test_random_member_membership_and_determinism():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from subspace_est.entropy import (EntropyEstimate, PackingSet,
 from subspace_est.errors import (BudgetExhausted, DimensionMismatch,
                                  InfeasibleParameters)
 from subspace_est.geometry import OrthonormalFrame, subspace_distance
-from subspace_est.matio import read_matrix
 
 
 def _hamming(a, b):
@@ -120,20 +118,6 @@ def test_sign_packing_construction():
     assert pack.min_pairwise_distance() >= pack.separation - 1e-9
     with pytest.raises(InfeasibleParameters):
         sign_packing_construction(32, 9)
-
-
-def test_packing_set_export(tmp_path):
-    pack = sign_packing_construction(16, 4)
-    out = tmp_path / "pack"
-    pack.export(out)
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["member_count"] == len(pack.members)
-    assert manifest["alpha"] == pack.alpha
-    assert manifest["min_pairwise_distance"] >= pack.separation - 1e-9
-    center = read_matrix(out / "center.csv")
-    assert np.array_equal(center, pack.center.values)
-    first = read_matrix(out / manifest["members"][0])
-    assert np.array_equal(first, pack.members[0].values)
 
 
 def test_greedy_local_packing_basic():

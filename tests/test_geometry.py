@@ -5,8 +5,8 @@ import pytest
 
 from subspace_est.errors import DimensionMismatch, RankDeficient
 from subspace_est.geometry import (OrthonormalFrame, SpectrumSpec,
-                                   orthonormalize, procrustes_align,
-                                   projection_matrix, quadratic_form_gap,
+                                   check_orthonormal, orthonormalize,
+                                   procrustes_align, quadratic_form_gap,
                                    subspace_distance)
 
 
@@ -21,6 +21,21 @@ def test_orthonormal_frame_validates():
         OrthonormalFrame(np.eye(2, 3))  # p < r
     frame = OrthonormalFrame(np.array([1.0, 0.0, 0.0]))
     assert frame.p == 3 and frame.r == 1
+
+
+def test_non_finite_frames_are_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            OrthonormalFrame(np.full((4, 1), bad))
+        one_entry = np.eye(4, 2)
+        one_entry[3, 1] = bad
+        with pytest.raises(ValueError):
+            OrthonormalFrame(one_entry)
+    stack = np.stack([np.eye(5, 2)] * 3)
+    check_orthonormal(stack)
+    stack[1, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        check_orthonormal(stack)
 
 
 def test_orthonormalize_scaled_identity_block():
@@ -99,15 +114,6 @@ def test_triangle_inequality():
         u1, u2, u3 = (random_frame(rng, p, r) for _ in range(3))
         assert subspace_distance(u1, u3) <= (
             subspace_distance(u1, u2) + subspace_distance(u2, u3) + 1e-12)
-
-
-def test_projection_matrix():
-    rng = np.random.default_rng(3)
-    u = random_frame(rng, 9, 2)
-    pm = projection_matrix(u)
-    assert np.allclose(pm, pm.T)
-    assert np.allclose(pm @ pm, pm)
-    assert np.allclose(pm @ u.values, u.values)
 
 
 def test_procrustes_rank_one_matches_sign_search():

@@ -6,12 +6,12 @@ import pytest
 from subspace_est import constraints, harness, models
 from subspace_est.errors import BoundViolated, DegenerateInput, DimensionMismatch
 from subspace_est.estimators import EstimatorConfig
-from subspace_est.geometry import SpectrumSpec, orthonormalize
+from subspace_est.geometry import (SpectrumSpec, orthonormalize,
+                                   subspace_distance)
 from subspace_est.harness import (PhaseTransitionFit, RiskEstimate, SweepRow,
                                   detect_phase_transition, fit_rate,
-                                  monte_carlo_risk, read_sweep_csv, run_trial,
-                                  run_trials, sweep, theory_rate,
-                                  write_sweep_csv)
+                                  monte_carlo_risk, read_sweep_csv, run_trials,
+                                  sweep, theory_rate, write_sweep_csv)
 
 
 def _wigner_model(p=8, t=6.0, sigma=1.0, seed=0, r=1):
@@ -21,6 +21,11 @@ def _wigner_model(p=8, t=6.0, sigma=1.0, seed=0, r=1):
 
 def _spectral():
     return EstimatorConfig(method="spectral")
+
+
+def _losses(model, cset, config, trials):
+    return [subspace_distance(result.frame, truth)
+            for result, truth in run_trials(model, cset, config, trials)]
 
 
 def test_risk_estimate_validation():
@@ -34,11 +39,12 @@ def test_risk_estimate_validation():
 def test_run_trial_noiseless_bound_determinism():
     model = _wigner_model(sigma=1e-12)
     cset = constraints.unconstrained(8, 1)
-    assert run_trial(model, cset, _spectral(), 0) <= 1e-6
+    assert _losses(model, cset, _spectral(), 1)[0] <= 1e-6
     noisy = _wigner_model(t=0.5, sigma=2.0)
-    vals = [run_trial(noisy, cset, _spectral(), i) for i in range(20)]
+    vals = _losses(noisy, cset, _spectral(), 20)
+    assert len(vals) == 20
     assert all(v <= math.sqrt(2.0) for v in vals)
-    again = [run_trial(noisy, cset, _spectral(), i) for i in range(20)]
+    again = _losses(noisy, cset, _spectral(), 20)
     assert vals == again
 
 
@@ -46,7 +52,7 @@ def test_monte_carlo_risk_aggregation_matches_trials():
     model = _wigner_model(t=3.0)
     cset = constraints.unconstrained(8, 1)
     est = monte_carlo_risk(model, cset, _spectral(), trials=16)
-    vals = np.array([run_trial(model, cset, _spectral(), i) for i in range(16)])
+    vals = np.array(_losses(model, cset, _spectral(), 16))
     assert est.mean_distance == np.mean(vals)
     assert est.stderr == np.std(vals, ddof=1) / math.sqrt(16)
     assert est.trials == 16
@@ -63,12 +69,17 @@ def test_monte_carlo_risk_same_at_every_block_size(monkeypatch):
     config = EstimatorConfig(max_iter=40)
     trials = 7
     want = monte_carlo_risk(model, cset, config, trials)
+    want_runs = list(run_trials(model, cset, config, trials))
     for size in (1, 3, trials):
         monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * 12 * 12 * size)
         assert monte_carlo_risk(model, cset, config, trials) == want, size
-    losses = run_trials(model, cset, config, range(trials))
-    assert losses == [run_trial(model, cset, config, i) for i in range(trials)]
-    assert want.mean_distance == np.mean(losses)
+        runs = list(run_trials(model, cset, config, trials))
+        assert len(runs) == trials, size
+        for (got, truth), (ref, ref_truth) in zip(runs, want_runs):
+            assert np.array_equal(got.frame.values, ref.frame.values), size
+            assert got.trace_path == ref.trace_path, size
+            assert np.array_equal(truth.values, ref_truth.values), size
+    assert want.mean_distance == np.mean(_losses(model, cset, config, trials))
 
 
 def test_monte_carlo_risk_golden_bits():
@@ -91,7 +102,7 @@ def test_run_trial_loss_above_diameter_raises(monkeypatch):
     cset = constraints.unconstrained(8, 1)
     monkeypatch.setattr(harness, "subspace_distance", lambda a, b: 2.0)
     with pytest.raises(BoundViolated):
-        run_trial(model, cset, _spectral(), 0)
+        monte_carlo_risk(model, cset, _spectral(), 2)
 
 
 def test_monte_carlo_risk_stderr_bound():
