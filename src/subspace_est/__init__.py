@@ -14,8 +14,7 @@ from .errors import (BoundViolated, BudgetExhausted, ConstraintViolation,
                      NotPositiveDefinite, RankDeficient, SubspaceEstError,
                      TooFewRows, TooLarge)
 from .estimators import (EstimatorConfig, IterationResult, estimate,
-                         exhaustive_argmax, objective, objective_matrix,
-                         spectral_estimate)
+                         exhaustive_argmax, objective, spectral_estimate)
 from .geometry import (OrthonormalFrame, SpectrumSpec, orthonormalize,
                        procrustes_align, quadratic_form_gap, subspace_distance)
 from .harness import (PhaseTransitionFit, RateFit, RiskEstimate, SweepRow,
@@ -23,8 +22,8 @@ from .harness import (PhaseTransitionFit, RateFit, RiskEstimate, SweepRow,
                       sweep, theory_rate)
 from .matio import read_matrix, write_matrix
 from .models import (ModelSpec, SampledInstance, kl_denoising_fixed,
-                     kl_gaussian_generic, kl_spiked_wishart, sample_covariance,
-                     sample_instance)
+                     kl_gaussian_generic, kl_spiked_wishart, objective_matrix,
+                     sample_covariance, sample_instance)
 
 __version__ = "0.1.0"
 

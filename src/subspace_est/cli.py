@@ -10,6 +10,7 @@ error, 3 I/O failure, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -42,49 +43,34 @@ class _FileError(Exception):
 
 
 # key -> (type tag, default, required); None default means "must resolve"
+_MODEL_KEYS = {
+    "family": ("str", None, True), "p1": ("int", None, False),
+    "p2": ("int", None, False), "n": ("int", None, False),
+    "p": ("int", None, False), "r": ("int", None, True),
+    "t": ("float", None, True), "sigma": ("float", None, True),
+    "constraint": ("str", None, True),
+}
+# EstimatorConfig's annotations are strings ("int", "float", "str"), so they
+# double as type tags
+_ESTIMATOR_KEYS = {field.name: (field.type, field.default, False)
+                   for field in dataclasses.fields(estimators.EstimatorConfig)}
+_RUN_KEYS = {"trials": ("int", None, True), "seed": ("int", 0, False),
+             "out": ("str", None, True)}
+_GRID_KEYS = {f"{knob}_grid": ("float_list" if knob in ("t", "sigma") else "int_list",
+                               None, False)
+              for knob in harness.KNOBS}
+
 _KEYSPECS = {
-    "simulate": {
-        "family": ("str", None, True), "p1": ("int", None, False),
-        "p2": ("int", None, False), "n": ("int", None, False),
-        "p": ("int", None, False), "r": ("int", None, True),
-        "t": ("float", None, True), "sigma": ("float", None, True),
-        "constraint": ("str", None, True), "seed": ("int", 0, False),
-        "out": ("str", None, True),
-    },
+    "simulate": {**_MODEL_KEYS, "seed": _RUN_KEYS["seed"], "out": _RUN_KEYS["out"]},
     "estimate": {
         "in": ("str", None, True), "out": ("str", None, False),
         "family": ("str", None, False), "r": ("int", None, False),
-        "constraint": ("str", None, False), "method": ("str", "iterative", False),
-        "max_iter": ("int", 200, False), "tol": ("float", 1e-8, False),
-        "init": ("str", "spectral", False), "init_seed": ("int", 0, False),
+        "constraint": ("str", None, False), **_ESTIMATOR_KEYS,
     },
-    "risk": {
-        "family": ("str", None, True), "p1": ("int", None, False),
-        "p2": ("int", None, False), "n": ("int", None, False),
-        "p": ("int", None, False), "r": ("int", None, True),
-        "t": ("float", None, True), "sigma": ("float", None, True),
-        "constraint": ("str", None, True), "method": ("str", "iterative", False),
-        "max_iter": ("int", 200, False), "tol": ("float", 1e-8, False),
-        "init": ("str", "spectral", False), "init_seed": ("int", 0, False),
-        "trials": ("int", None, True), "seed": ("int", 0, False),
-        "out": ("str", None, True),
-    },
-    "sweep": {
-        "family": ("str", None, True), "p1": ("int", None, False),
-        "p2": ("int", None, False), "n": ("int", None, False),
-        "p": ("int", None, False), "r": ("int", None, True),
-        "t": ("float", None, False), "sigma": ("float", None, False),
-        "constraint": ("str", None, True), "method": ("str", "iterative", False),
-        "max_iter": ("int", 200, False), "tol": ("float", 1e-8, False),
-        "init": ("str", "spectral", False), "init_seed": ("int", 0, False),
-        "trials": ("int", None, True), "seed": ("int", 0, False),
-        "out": ("str", None, True),
-        "t_grid": ("float_list", None, False),
-        "sigma_grid": ("float_list", None, False),
-        "p1_grid": ("int_list", None, False), "p2_grid": ("int_list", None, False),
-        "n_grid": ("int_list", None, False), "p_grid": ("int_list", None, False),
-        "k_grid": ("int_list", None, False), "r_grid": ("int_list", None, False),
-    },
+    "risk": {**_MODEL_KEYS, **_ESTIMATOR_KEYS, **_RUN_KEYS},
+    "sweep": {**_MODEL_KEYS, "t": ("float", None, False),
+              "sigma": ("float", 1.0, False), **_ESTIMATOR_KEYS, **_RUN_KEYS,
+              **_GRID_KEYS},
     "entropy": {
         "constraint": ("str", None, True), "p": ("int", None, True),
         "r": ("int", None, True), "budget": ("int", 4000, False),
@@ -92,17 +78,14 @@ _KEYSPECS = {
         "eps_max": ("float", math.sqrt(2.0), False),
         "grid_points": ("int", 24, False), "out": ("str", None, True),
     },
+    # the oracle fixes the family (clustering, rank one) and its two methods
     "oracle": {
         "n": ("int", None, True), "p": ("int", None, True),
         "t": ("float", None, True), "sigma": ("float", 1.0, False),
-        "trials": ("int", None, True), "seed": ("int", 0, False),
-        "max_iter": ("int", 200, False), "tol": ("float", 1e-8, False),
-        "init": ("str", "spectral", False), "init_seed": ("int", 0, False),
-        "out": ("str", None, True),
+        **{key: spec for key, spec in _ESTIMATOR_KEYS.items() if key != "method"},
+        **_RUN_KEYS,
     },
 }
-
-_GRID_ORDER = ("t", "sigma", "p1", "p2", "n", "p", "k", "r")
 
 
 def _convert(key: str, kind: str, raw):
@@ -149,7 +132,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
                 f"unknown config keys for {command}: {', '.join(sorted(unknown))}")
     resolved = {}
     for key, (kind, default, required) in spec.items():
-        flag_value = getattr(args, key.replace("in", "in_dir") if key == "in" else key)
+        flag_value = getattr(args, key)
         if flag_value is not None:
             resolved[key] = _convert(key, kind, flag_value)
         elif key in file_values:
@@ -199,10 +182,7 @@ def _build_model(resolved: dict, rank: int, t: float) -> models.ModelSpec:
 
 
 def _estimator_config(resolved: dict) -> estimators.EstimatorConfig:
-    return estimators.EstimatorConfig(
-        method=resolved["method"], max_iter=resolved["max_iter"],
-        tol=resolved["tol"], init=resolved["init"],
-        init_seed=resolved["init_seed"])
+    return estimators.EstimatorConfig(**{key: resolved[key] for key in _ESTIMATOR_KEYS})
 
 
 def _cmd_simulate(args) -> int:
@@ -247,13 +227,11 @@ def _cmd_estimate(args) -> int:
         if resolved[key] is None:
             raise _UsageError(f"--{key} not given and absent from {stored_path}")
     observation = _read_matrix_checked(os.path.join(in_dir, "Y.csv"))
-    family = resolved["family"]
-    if family not in models.FAMILIES:
-        raise _UsageError(f"unknown family {family!r}")
-    frame_dim = observation.shape[1] if family == models.WISHART else observation.shape[0]
-    rank = int(resolved["r"])
-    cset = constraints.parse_constraint(resolved["constraint"], frame_dim, rank)
-    m = estimators.objective_matrix(family, observation)
+    if resolved["family"] not in models.FAMILIES:
+        raise _UsageError(f"unknown family {resolved['family']!r}")
+    m = models.objective_matrix(resolved["family"], observation)
+    cset = constraints.parse_constraint(resolved["constraint"], m.shape[0],
+                                        int(resolved["r"]))
     result = estimators.estimate(m, cset, _estimator_config(resolved))
     d_to_truth = None
     truth_path = os.path.join(in_dir, "U_truth.csv")
@@ -289,7 +267,7 @@ def _cmd_risk(args) -> int:
 
 def _sweep_grid(resolved: dict) -> list:
     axes = []
-    for knob in _GRID_ORDER:
+    for knob in harness.KNOBS:
         values = resolved.get(f"{knob}_grid")
         if values:
             axes.append([(knob, value) for value in values])
@@ -304,8 +282,6 @@ def _cmd_sweep(args) -> int:
     base_t = resolved["t"] if resolved["t"] is not None else grid[0].get("t")
     if base_t is None:
         raise _UsageError("sweep needs t or t_grid")
-    if resolved["sigma"] is None:
-        resolved["sigma"] = 1.0
     model = _build_model(resolved, resolved["r"], float(base_t))
     cset = constraints.parse_constraint(resolved["constraint"], model.frame_dim, model.rank)
     config = _estimator_config(resolved)
@@ -351,15 +327,13 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_oracle(args) -> int:
     resolved = _resolve("oracle", args)
-    model = models.ModelSpec(
-        family=models.CLUSTERING, rank=1,
-        spectrum=models.SpectrumSpec.flat(resolved["t"], 1),
-        noise_sd=resolved["sigma"], seed=resolved["seed"],
-        n=resolved["n"], p=resolved["p"])
+    trials = resolved["trials"]
+    if trials < 1:
+        raise ValueError(f"oracle needs at least 1 trial, got {trials}")
+    model = _build_model(dict(resolved, family=models.CLUSTERING), 1, resolved["t"])
     cset = constraints.signs(model.n)
     config = _estimator_config(dict(resolved, method=estimators.ITERATIVE))
     exhaustive = _estimator_config(dict(resolved, method=estimators.EXHAUSTIVE))
-    trials = resolved["trials"]
     agree = 0
     gaps = []
     # each run samples its own blocks, so both see the same instances
@@ -395,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         cp = sub.add_parser(command)
         cp.add_argument("--config", default=None, help="key=value config file")
         for key in spec:
-            dest = "in_dir" if key == "in" else key
-            cp.add_argument(f"--{key.replace('_', '-')}", dest=dest, default=None)
+            cp.add_argument(f"--{key.replace('_', '-')}")
     return parser
 
 

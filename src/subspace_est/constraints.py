@@ -131,7 +131,13 @@ def contains(cset: ConstraintSet, frame: OrthonormalFrame, tol: float = 1e-8) ->
 
 
 def _disjoint_support_cleanup(w: np.ndarray, original: np.ndarray) -> np.ndarray:
-    """Force row-disjoint column supports, then give every column unit norm."""
+    """Force row-disjoint column supports, then give every column unit norm.
+
+    Each row keeps only its largest entry.  A column left empty takes its
+    strongest free row; when no row is free, the p rows sit in at most r - 1
+    columns, so for p >= r some column holds two rows and gives up its
+    weakest.  Every column therefore ends nonzero.
+    """
     p, r = w.shape
     keep = np.zeros_like(w)
     owner = np.argmax(w, axis=1)
@@ -143,10 +149,7 @@ def _disjoint_support_cleanup(w: np.ndarray, original: np.ndarray) -> np.ndarray
         free = np.where(np.all(keep == 0.0, axis=1))[0]
         if free.size == 0:
             # steal the weakest row of the most populated column
-            counts = np.sum(keep > 0.0, axis=0)
-            donor = int(np.argmax(counts))
-            if counts[donor] < 2:
-                raise DegenerateInput("cannot build disjoint non-negative supports")
+            donor = int(np.argmax(np.sum(keep > 0.0, axis=0)))
             cand = np.where(keep[:, donor] > 0.0)[0]
             row = cand[int(np.argmin(keep[cand, donor]))]
             keep[row, donor] = 0.0
@@ -171,7 +174,7 @@ def _project_nonneg_rank_one(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def _project_nonneg_stack(s: np.ndarray) -> tuple:
+def _project_nonneg_stack(s: np.ndarray) -> np.ndarray:
     """Alternating projection of every p x r slice of a stack, r > 1.
 
     Each round clips the live slices, tests them for a zero clip, and moves
@@ -195,7 +198,6 @@ def _project_nonneg_stack(s: np.ndarray) -> tuple:
         u[live] = nxt
         live = live[moving]
     members = np.empty_like(s)
-    ok = np.ones(s.shape[0], dtype=bool)
     for i in range(s.shape[0]):
         w = np.clip(u[i], 0.0, None)
         norms = np.linalg.norm(w, axis=0)
@@ -204,19 +206,16 @@ def _project_nonneg_stack(s: np.ndarray) -> tuple:
             if np.max(np.abs(cand.T @ cand - np.eye(r))) <= 1e-12:
                 members[i] = cand
                 continue
-        try:
-            members[i] = _disjoint_support_cleanup(w, s[i])
-        except DegenerateInput:
-            ok[i] = False
-    return members, ok
+        members[i] = _disjoint_support_cleanup(w, s[i])
+    return members
 
 
 def project_batch(cset: ConstraintSet, stack) -> tuple:
     """Map every slice of a (B, p, r) stack to a member of the constraint set.
 
     Returns (members, ok), a (B, p, r) array and a boolean mask: ok[i] is
-    False where slice i has no member (a rank-deficient input block, or no
-    disjoint non-negative supports), and members[i] is then meaningless.
+    False where slice i has no member (a rank-deficient input block), and
+    members[i] is then meaningless; every "signs" and "nonneg" slice has one.
     The members are raw arrays; callers check orthonormality when they make
     frames of them.  Each slice comes out bit for bit as a call on that slice
     alone.
@@ -251,9 +250,8 @@ def project_batch(cset: ConstraintSet, stack) -> tuple:
         members = np.zeros_like(s)
         np.put_along_axis(members, keep, block, axis=1)
         return members, ok
-    if cset.r == 1:
-        return _project_nonneg_rank_one(s), np.ones(count, dtype=bool)
-    return _project_nonneg_stack(s)
+    members = _project_nonneg_rank_one(s) if cset.r == 1 else _project_nonneg_stack(s)
+    return members, np.ones(count, dtype=bool)
 
 
 def project(cset: ConstraintSet, u) -> OrthonormalFrame:
@@ -293,7 +291,7 @@ def random_members(cset: ConstraintSet, seed, count: int) -> np.ndarray:
     ("sparse"), fair signs ("signs"), or absolute Gaussians normalized for
     r = 1 and projected for r > 1 ("nonneg").  Gaussian draws come from one
     generator call; sparse supports and signs are drawn slice by slice.
-    Raises RankDeficient or DegenerateInput where a draw has no member.
+    Raises RankDeficient where a draw has no member.
     """
     rng = as_generator(seed)
     p, r = cset.p, cset.r
@@ -320,10 +318,7 @@ def random_members(cset: ConstraintSet, seed, count: int) -> np.ndarray:
     draws = np.abs(rng.standard_normal((count, p, r)))
     if r == 1:
         return draws / frobenius_norms(draws)[:, None, None]
-    members, ok = project_batch(cset, draws)
-    if not ok.all():
-        raise DegenerateInput("no nonneg member for this draw")
-    return members
+    return project_batch(cset, draws)[0]
 
 
 def random_member(cset: ConstraintSet, seed) -> OrthonormalFrame:

@@ -1,9 +1,9 @@
 """Estimators for the planted frame: projected power iteration, exhaustive
 sign search, and spectral truncation.
 
-Every method maximizes the trace form tr(U' M U) over the constraint set,
-where M is the family's objective matrix (Gram of the observation, sample
-covariance, or the symmetric observation itself).
+Every method maximizes the trace form tr(U' M U) over the constraint set.
+The methods work on symmetric matrices M only; models.objective_matrix
+builds M from an observation of each family.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import constraints, models
+from . import constraints
 from .errors import DimensionMismatch, RankDeficient, TooLarge
 from .geometry import (OrthonormalFrame, check_orthonormal, frobenius_norms,
                        orthonormalize_batch)
@@ -58,23 +58,6 @@ class IterationResult:
     @property
     def objective(self) -> float:
         return max(self.trace_path)
-
-
-def objective_matrix(family: str, observation: np.ndarray) -> np.ndarray:
-    """Symmetric matrix whose constrained top eigenspace is the estimand."""
-    y = np.asarray(observation, dtype=float)
-    if family in (models.DENOISING, models.CLUSTERING):
-        return y @ y.T
-    if family == models.WISHART:
-        return models.sample_covariance(y)
-    if family == models.WIGNER:
-        return (y + y.T) / 2.0
-    raise DimensionMismatch(f"unknown family {family!r}")
-
-
-def build_objective_matrix(instance: models.SampledInstance) -> np.ndarray:
-    """objective_matrix for a sampled instance of its own family."""
-    return objective_matrix(instance.spec.family, instance.observation)
 
 
 def objective(frame: OrthonormalFrame, m: np.ndarray) -> float:

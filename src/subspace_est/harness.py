@@ -2,10 +2,12 @@
 sweeps with closed-form rate predictions, log-log rate fits, and two-segment
 phase-transition detection.
 
-Rate conventions.  theory_rate evaluates the constant-free minimax rate for
-the model family and constraint kind at the sweep knobs, capped at 1 for
+Rate conventions.  theory_rate evaluates the constant-free minimax rate at
+the sweep knobs as the family's noise factor (ModelSpec.noise_rate) times the
+constraint set's entropy term (ConstraintSet.rate_term), capped at 1 for
 structured sets (sqrt(r) unconstrained); only ratios and fitted slopes are
-meaningful, never absolute levels.
+meaningful, never absolute levels.  The harness itself knows no family or
+constraint kind.
 
 run_trials is the one place that turns a model and a trial index into an
 estimate; monte_carlo_risk and the CLI's oracle comparison both read it.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constraints, estimators, models
-from .errors import BoundViolated, DegenerateInput, DimensionMismatch
+from .errors import BoundViolated, DegenerateInput
 from .geometry import subspace_distance
 
 _CSV_FIELDS = ("family", "p1", "p2", "n", "p", "r", "k", "t", "sigma",
@@ -151,7 +153,7 @@ def run_trials(model: models.ModelSpec, cset: constraints.ConstraintSet,
         truths = []
         for slot in range(count):
             instance = models.sample_instance(model, cset, trial_index=start + slot)
-            block[slot] = estimators.build_objective_matrix(instance)
+            block[slot] = models.objective_matrix(model.family, instance.observation)
             truths.append(instance.truth_left)
         yield from zip(estimators.estimate_batch(block[:count], cset, config), truths)
 
@@ -183,30 +185,15 @@ def monte_carlo_risk(model: models.ModelSpec, cset: constraints.ConstraintSet,
 
 
 def theory_rate(model: models.ModelSpec, cset: constraints.ConstraintSet) -> float:
-    """Constant-free minimax rate prediction at the model's knobs.
-
-    Denoising-type families scale as sigma sqrt(t^2 + sigma^2 p2) / t^2 times
-    the constraint's entropy term, Wishart as sigma sqrt(t + sigma^2) /
-    (t sqrt(n)) times the same term, Wigner as sigma / t times it; capped at 1
-    (sqrt(r) when unconstrained).
-    """
-    sigma = model.noise_sd
-    t = model.spectrum.scale
+    """Constant-free minimax rate prediction at the model's knobs: the
+    family's noise factor times the constraint's entropy term, capped at 1
+    (sqrt(r) when unconstrained)."""
     structure, cap = cset.rate_term(model.frame_dim)
-    if model.family == models.DENOISING:
-        base = sigma * math.sqrt(t * t + sigma * sigma * model.p2) / (t * t)
-    elif model.family == models.CLUSTERING:
-        base = sigma * math.sqrt(t * t + sigma * sigma * model.p) / (t * t)
-    elif model.family == models.WISHART:
-        base = sigma * math.sqrt(t + sigma * sigma) / (t * math.sqrt(model.n))
-    elif model.family == models.WIGNER:
-        base = sigma / t
-    else:
-        raise DimensionMismatch(f"unknown family {model.family!r}")
-    return min(base * structure, cap)
+    return min(model.noise_rate * structure, cap)
 
 
-_KNOBS = ("t", "sigma", "p1", "p2", "n", "p", "k", "r")
+# sweep knobs; the CLI nests its grid axes in this order, first outermost
+KNOBS = ("t", "sigma", "p1", "p2", "n", "p", "k", "r")
 
 
 def sweep(grid, base_model: models.ModelSpec, cset: constraints.ConstraintSet,
@@ -221,7 +208,7 @@ def sweep(grid, base_model: models.ModelSpec, cset: constraints.ConstraintSet,
         raise ValueError("empty sweep grid")
     rows = []
     for index, assignment in enumerate(grid):
-        unknown = set(assignment) - set(_KNOBS)
+        unknown = set(assignment) - set(KNOBS)
         if unknown:
             raise ValueError(f"unknown sweep knobs {sorted(unknown)}")
         changes = {"seed": base_model.seed + index}

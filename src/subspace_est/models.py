@@ -8,6 +8,10 @@ Families and shapes:
 - "wigner":     Y = U diag(spectrum) U' + sigma * Z symmetric, Y is p x p
 - "clustering": Y = sqrt(n) u theta' + sigma * Z, Y is n x p, u = labels/sqrt(n)
 
+Each family also fixes the objective matrix its estimators maximize over
+(objective_matrix) and its noise factor in the minimax rate
+(ModelSpec.noise_rate); no other module branches on the family.
+
 All randomness flows through a counter-based generator keyed by
 (seed, trial_index), so any trial can be regenerated bit for bit without
 replaying the ones before it.
@@ -15,6 +19,7 @@ replaying the ones before it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +97,23 @@ class ModelSpec:
             return self.n
         return self.p
 
+    @property
+    def noise_rate(self) -> float:
+        """The family's noise factor in the constant-free minimax rate.
+
+        Denoising-type families give sigma sqrt(t^2 + sigma^2 p2) / t^2 (p in
+        place of p2 for clustering), Wishart sigma sqrt(t + sigma^2) /
+        (t sqrt(n)), Wigner sigma / t, at the spectrum scale t.
+        """
+        sigma = self.noise_sd
+        t = self.spectrum.scale
+        if self.family == WISHART:
+            return sigma * math.sqrt(t + sigma * sigma) / (t * math.sqrt(self.n))
+        if self.family == WIGNER:
+            return sigma / t
+        width = self.p2 if self.family == DENOISING else self.p
+        return sigma * math.sqrt(t * t + sigma * sigma * width) / (t * t)
+
 
 @dataclass
 class SampledInstance:
@@ -113,7 +135,6 @@ def instance_rng(seed: int, trial_index: int = 0) -> np.random.Generator:
 
 def sample_instance(spec: ModelSpec, cset: constraints.ConstraintSet,
                     truth_frame: OrthonormalFrame | None = None,
-                    right_frame: OrthonormalFrame | None = None,
                     trial_index: int = 0) -> SampledInstance:
     """Draw one observation with the planted frame taken from cset.
 
@@ -136,13 +157,8 @@ def sample_instance(spec: ModelSpec, cset: constraints.ConstraintSet,
     sigma = spec.noise_sd
 
     if spec.family == DENOISING:
-        if right_frame is not None:
-            if right_frame.p != spec.p2 or right_frame.r != spec.rank:
-                raise DimensionMismatch("right_frame shape does not match (p2, rank)")
-            right = right_frame
-        else:
-            right = constraints.random_member(
-                constraints.unconstrained(spec.p2, spec.rank), rng)
+        right = constraints.random_member(
+            constraints.unconstrained(spec.p2, spec.rank), rng)
         noise = rng.standard_normal((spec.p1, spec.p2))
         y = (truth.values * lam) @ right.values.T + sigma * noise
         return SampledInstance(spec, y, truth, spec.spectrum, truth_right=right)
@@ -169,6 +185,20 @@ def sample_instance(spec: ModelSpec, cset: constraints.ConstraintSet,
     labels = np.where(truth.values[:, 0] >= 0, 1, -1)
     return SampledInstance(spec, y, truth, spec.spectrum, truth_right=right,
                            labels=labels)
+
+
+def objective_matrix(family: str, observation: np.ndarray) -> np.ndarray:
+    """Symmetric matrix whose constrained top eigenspace is the estimand:
+    the Gram matrix Y Y' (denoising, clustering), the sample covariance
+    (wishart), or the symmetrized observation (wigner)."""
+    y = np.asarray(observation, dtype=float)
+    if family in (DENOISING, CLUSTERING):
+        return y @ y.T
+    if family == WISHART:
+        return sample_covariance(y)
+    if family == WIGNER:
+        return (y + y.T) / 2.0
+    raise DimensionMismatch(f"unknown family {family!r}")
 
 
 def sample_covariance(rows: np.ndarray) -> np.ndarray:

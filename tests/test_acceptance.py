@@ -19,8 +19,7 @@ import pytest
 
 from subspace_est import constraints, entropy, harness, models
 from subspace_est.cli import main
-from subspace_est.estimators import (EstimatorConfig, build_objective_matrix,
-                                     estimate)
+from subspace_est.estimators import EstimatorConfig, estimate
 from subspace_est.geometry import (OrthonormalFrame, SpectrumSpec,
                                    orthonormalize, procrustes_align,
                                    quadratic_form_gap, subspace_distance)
@@ -190,8 +189,9 @@ def test_05_clustering_oracle_agreement(capsys):
     agree = 0
     for trial in range(200):
         instance = models.sample_instance(model, cset, trial_index=trial)
-        u_it = estimate(build_objective_matrix(instance), cset, iterative).frame
-        u_ex = estimate(build_objective_matrix(instance), cset, brute).frame
+        m = models.objective_matrix(instance.spec.family, instance.observation)
+        u_it = estimate(m, cset, iterative).frame
+        u_ex = estimate(m, cset, brute).frame
         agree += subspace_distance(u_it, u_ex) <= 1e-9
     elapsed = time.perf_counter() - start
     ok = agree >= 190 and elapsed < 60.0

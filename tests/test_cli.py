@@ -253,3 +253,50 @@ def test_simulate_non_finite_subspace_basis_exit_two(tmp_path):
     out = tmp_path / "sim"
     assert _simulate(out, ["--constraint", f"subspace:qfile={qfile}"]) == 2
     assert not out.exists()
+
+
+def test_oracle_fewer_than_one_trial_exit_two(tmp_path, capsys):
+    for trials in ("0", "-3"):
+        out = tmp_path / f"oracle{trials}"
+        argv = ["oracle", "--n", "6", "--p", "10", "--t", "5",
+                "--trials", trials, "--out", str(out)]
+        assert main(argv) == 2, trials
+        assert not (out / "oracle.json").exists()
+        assert "at least 1 trial" in capsys.readouterr().err
+
+
+# every key each command resolves, with its default where it has one: a lost
+# key or a drifted default changes these bytes
+_MINIMAL_CONFIGS = [
+    (["simulate", "--family", "wigner", "--p", "6", "--r", "1", "--t", "4",
+      "--sigma", "1", "--constraint", "none", "--out", "sim"],
+     "constraint=none\nfamily=wigner\nout=sim\np=6\nr=1\nseed=0\nsigma=1\nt=4\n"),
+    (["estimate", "--in", "sim", "--out", "est"],
+     "constraint=none\nfamily=wigner\nin=sim\ninit=spectral\ninit_seed=0\n"
+     "max_iter=200\nmethod=iterative\nout=est\nr=1\ntol=1e-08\n"),
+    (["risk", "--family", "wigner", "--p", "6", "--r", "1", "--t", "4",
+      "--sigma", "1", "--constraint", "none", "--trials", "2", "--out", "risk"],
+     "constraint=none\nfamily=wigner\ninit=spectral\ninit_seed=0\nmax_iter=200\n"
+     "method=iterative\nout=risk\np=6\nr=1\nseed=0\nsigma=1\nt=4\ntol=1e-08\n"
+     "trials=2\n"),
+    (["sweep", "--family", "wigner", "--p", "6", "--r", "1", "--constraint",
+      "none", "--t-grid", "2,4", "--trials", "2", "--out", "sweep"],
+     "constraint=none\nfamily=wigner\ninit=spectral\ninit_seed=0\nmax_iter=200\n"
+     "method=iterative\nout=sweep\np=6\nr=1\nseed=0\nsigma=1\nt_grid=2,4\n"
+     "tol=1e-08\ntrials=2\n"),
+    (["entropy", "--constraint", "signs", "--p", "6", "--r", "1", "--out", "ent"],
+     "budget=4000\nconstraint=signs\neps_max=1.4142135623730951\neps_min=0.01\n"
+     "grid_points=24\nout=ent\np=6\nr=1\nseed=0\n"),
+    (["oracle", "--n", "6", "--p", "8", "--t", "5", "--trials", "2", "--out",
+      "oracle"],
+     "init=spectral\ninit_seed=0\nmax_iter=200\nn=6\nout=oracle\np=8\nseed=0\n"
+     "sigma=1\nt=5\ntol=1e-08\ntrials=2\n"),
+]
+
+
+def test_minimal_invocations_resolve_every_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv, want in _MINIMAL_CONFIGS:
+        assert main(argv) == 0, argv[0]
+        out = argv[argv.index("--out") + 1]
+        assert (tmp_path / out / f"{argv[0]}_config.txt").read_text() == want, argv[0]

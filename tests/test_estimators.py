@@ -4,12 +4,13 @@ import pytest
 from subspace_est import constraints, estimators, models
 from subspace_est.errors import (DegenerateInput, DimensionMismatch,
                                  RankDeficient, TooLarge)
-from subspace_est.estimators import (EstimatorConfig, build_objective_matrix,
-                                     estimate, exhaustive_argmax,
+from subspace_est.estimators import (EstimatorConfig, estimate,
+                                     exhaustive_argmax,
                                      iterative_projection_batch, objective,
-                                     objective_matrix, spectral_estimate)
+                                     spectral_estimate)
 from subspace_est.geometry import (OrthonormalFrame, SpectrumSpec,
                                    orthonormalize, subspace_distance)
+from subspace_est.models import objective_matrix
 
 
 def _haar(p, r, seed):
@@ -59,7 +60,7 @@ def test_build_objective_matrix_cross_check():
     spec = models.ModelSpec("wigner", 1, SpectrumSpec.flat(3.0, 1), 0.5,
                             seed=1, p=6)
     inst = models.sample_instance(spec, constraints.unconstrained(6, 1))
-    m = build_objective_matrix(inst)
+    m = models.objective_matrix(inst.spec.family, inst.observation)
     assert np.array_equal(m, (inst.observation + inst.observation.T) / 2.0)
 
 
@@ -134,7 +135,7 @@ def test_estimate_dispatch_and_determinism():
                             seed=3, p1=12, p2=18)
     cset = constraints.signs(12)
     inst = models.sample_instance(spec, cset)
-    m = build_objective_matrix(inst)
+    m = models.objective_matrix(inst.spec.family, inst.observation)
     for method in ("iterative", "exhaustive", "spectral"):
         cfg = EstimatorConfig(method=method)
         first = estimate(m, cset, cfg).frame
@@ -199,7 +200,8 @@ def _reference_iterative(m, cset, config):
 def _denoising_objective(cset, t, seed, p1, p2):
     spec = models.ModelSpec("denoising", cset.r, SpectrumSpec.flat(t, cset.r),
                             1.0, seed=seed, p1=p1, p2=p2)
-    return build_objective_matrix(models.sample_instance(spec, cset))
+    inst = models.sample_instance(spec, cset)
+    return models.objective_matrix(inst.spec.family, inst.observation)
 
 
 def _equivalence_cases():
