@@ -237,7 +237,9 @@ def _cmd_estimate(args) -> int:
     truth_path = os.path.join(in_dir, "U_truth.csv")
     if os.path.exists(truth_path):
         truth = _read_matrix_checked(truth_path)
-        d_to_truth = subspace_distance(result.frame, truth)
+        # an estimate at another rank than the truth has no distance to it
+        if truth.shape == result.frame.values.shape:
+            d_to_truth = subspace_distance(result.frame, truth)
     out_dir = resolved["out"] or in_dir
     resolved["out"] = out_dir
     _ensure_out_dir(out_dir)

@@ -180,15 +180,23 @@ def _project_nonneg_stack(s: np.ndarray) -> np.ndarray:
     Each round clips the live slices, tests them for a zero clip, and moves
     the rest to the polar factor of their clip; a slice leaves the live set
     when its clip is zero or its move falls below _NN_MOVE_TOL.  The zero
-    test and the polar factor stay two svd calls, as on one slice.  The
-    final feasibility pass then runs slice by slice.
+    test is the one-slice rule "every singular value below 1e-12", decided
+    from the largest entry wherever that settles it, and the polar factor
+    stays an svd, as on one slice.  The final feasibility pass then runs
+    slice by slice.
     """
     r = s.shape[2]
     u = s.copy()
     live = np.arange(s.shape[0])
     for _ in range(_NN_ROUNDS):
         clipped = np.clip(u[live], 0.0, None)
-        nonzero = ~np.all(np.linalg.svd(clipped, compute_uv=False) < 1e-12, axis=1)
+        # sigma_max >= the largest entry, so only a clip whose entries all lie
+        # below 2e-12 can pass the zero test; the svd runs on those alone
+        nonzero = np.max(clipped, axis=(1, 2)) >= 2e-12
+        small = np.flatnonzero(~nonzero)
+        if small.size:
+            nonzero[small] = ~np.all(
+                np.linalg.svd(clipped[small], compute_uv=False) < 1e-12, axis=1)
         live, clipped = live[nonzero], clipped[nonzero]
         if not live.size:
             break

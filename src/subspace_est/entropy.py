@@ -12,8 +12,11 @@ The normalized projector differences
 carry the Frobenius metric; entropy integrals over T summarize how rich the
 constraint set looks from U.  Greedy nets cannot count past the number of
 draws, so each entropy estimate flags the scales where its net took every
-draw.  Members are drawn and compared as stacks (constraints.random_members
-and one stacked product per net row), bit for bit as one draw at a time.
+draw.  Members are drawn as stacks (constraints.random_members), bit for bit
+as one draw at a time.  They are compared by one GEMM per net row on the row
+matrix of the transposed draws, and tangent norms take the residual form;
+both agree with per-pair products to rounding, and golden tests pin the
+counts they give.
 """
 
 from __future__ import annotations
@@ -30,11 +33,9 @@ from .geometry import (OrthonormalFrame, check_orthonormal, frobenius_norms,
 
 _SLACK = 1e-9
 
-# tangent draws run in blocks of at most _DRAW_BYTES of p x r frames, and
-# their p x p projector differences are formed _CHUNK_BYTES at a time; larger
+# tangent draws run in blocks of at most _DRAW_BYTES of p x r frames; larger
 # blocks buy little speed and cost peak memory
 _DRAW_BYTES = 1 << 17
-_CHUNK_BYTES = 1 << 19
 
 
 @dataclass
@@ -244,6 +245,11 @@ def greedy_local_packing(cset: constraints.ConstraintSet, center: OrthonormalFra
                       members=members, alpha=alpha)
 
 
+def _check_budget(budget) -> None:
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1 draw, got {budget}")
+
+
 def _greedy_net_counts(grid, size: int, rows) -> np.ndarray:
     """Nested greedy net sizes over size points, one per scale in grid.
 
@@ -269,11 +275,21 @@ def _greedy_net_counts(grid, size: int, rows) -> np.ndarray:
     return counts
 
 
-def _captured(stack, w):
-    """||W' w||_F^2 for every slice W of a (B, p, r) stack, by one stacked
-    product on a transposed view of the stack (no copy)."""
-    cross = stack.swapaxes(1, 2) @ w
-    return np.sum(cross * cross, axis=(1, 2))
+def _transposed(stack):
+    """The (B, r, p) C-ordered stack of the transposes of a (B, p, r) stack,
+    so that its (B r, p) reshape, the row matrix, is a view."""
+    return np.ascontiguousarray(stack.swapaxes(1, 2))
+
+
+def _captured(members, w):
+    """||W' w||_F^2 for every member W of a (B, r, p) stack of transposed
+    frames: one GEMM on its row matrix, then a sum of squares over each
+    r x r block.  w is copied to C order first, which the GEMM takes about
+    three times faster than a transposed view."""
+    count, r, p = members.shape
+    cross = members.reshape(count * r, p) @ np.ascontiguousarray(w)
+    cross = cross.reshape(count, r * w.shape[1])
+    return np.einsum("ij,ij->i", cross, cross)
 
 
 def covering_number_estimate(cset: constraints.ConstraintSet, epsilon: float,
@@ -284,41 +300,43 @@ def covering_number_estimate(cset: constraints.ConstraintSet, epsilon: float,
     metric; a draw becomes a new net center whenever it is at least epsilon
     away from all current centers.
     """
+    _check_budget(budget)
     stack = constraints.random_members(cset, seed, budget)
     check_orthonormal(stack)
     r = stack.shape[2]
+    members = _transposed(stack)
 
     def rows(j):
-        inner = _captured(stack, stack[j])
+        inner = _captured(members, members[j].T)
         return np.sqrt(np.clip(2.0 * (r - inner), 0.0, None))
 
     return int(_greedy_net_counts([epsilon], budget, rows)[0])
 
 
 def _draw_tangent_stack(cset, center, budget, rng):
-    """Stack of member frames defining tangent elements, with their center
-    overlaps and projector-difference norms.
+    """Transposed member frames defining tangent elements, as a (n, r, p)
+    stack, with their center overlaps and projector-difference norms.
 
     Members are drawn in blocks with one orthonormality check per block; a
     draw whose projector equals the center's is skipped.
     """
     u = center.values
     p, r = u.shape
-    proj = u @ u.T
     block = max(1, _DRAW_BYTES // (8 * p * r))
-    chunk = max(1, _CHUNK_BYTES // (8 * p * p))
     frames, overlaps, norms = [], [], []
     for start in range(0, budget, block):
         draws = constraints.random_members(cset, rng, min(block, budget - start))
         check_orthonormal(draws)
-        # the norm must come from the projector difference itself: the Gram
-        # form sqrt(2(r - captured)) rounds to ~1e-8 on draws equal to the
-        # center, which would defeat the skip rule below
-        norm = np.concatenate([
-            frobenius_norms(sub @ sub.swapaxes(1, 2) - proj)
-            for sub in np.split(draws, range(chunk, len(draws), chunk))])
+        members = _transposed(draws)
+        cross = members.reshape(-1, p) @ u
+        # ||W W' - U U'||_F = sqrt(2) ||W' - (W' U) U'||_F, the residual form
+        # of the power step: it keeps full relative precision near zero, so a
+        # draw equal to the center reads ~1e-16 and the skip rule below
+        # catches it, where the Gram form sqrt(2(r - captured)) rounds to ~1e-8
+        resid = members - (cross @ u.T).reshape(members.shape)
+        norm = math.sqrt(2.0) * frobenius_norms(resid)
         keep = ~(norm < 1e-9)
-        frames.append(draws[keep])
+        frames.append(members[keep])
         overlaps.append(_captured(frames[-1], u))
         norms.append(norm[keep])
     if not any(len(f) for f in frames):
@@ -326,10 +344,11 @@ def _draw_tangent_stack(cset, center, budget, rng):
     return np.concatenate(frames), np.concatenate(overlaps), np.concatenate(norms)
 
 
-def _tangent_distance_rows(stack, overlaps, norms, idx):
-    """Frobenius distances from tangent element idx to every element."""
-    inner = _captured(stack, stack[idx])
-    r = stack.shape[2]
+def _tangent_distance_rows(members, overlaps, norms, idx):
+    """Frobenius distances from tangent element idx to every element of a
+    (n, r, p) stack of transposed member frames."""
+    inner = _captured(members, members[idx].T)
+    r = members.shape[1]
     numer = inner - overlaps - overlaps[idx] + r
     sq = 2.0 - 2.0 * numer / (norms * norms[idx])
     return np.sqrt(np.clip(sq, 0.0, None))
@@ -359,16 +378,17 @@ def dudley_estimate(cset: constraints.ConstraintSet, center: OrthonormalFrame,
     grid = np.asarray(sorted(float(e) for e in epsilon_grid))
     if grid.size < 2 or grid[0] <= 0:
         raise ValueError("need an increasing positive epsilon grid")
+    _check_budget(budget)
     rng = constraints.as_generator(seed)
     drawn = _draw_tangent_stack(cset, center, budget, rng)
     counts = np.zeros(grid.size, dtype=np.int64)
     unresolved = np.zeros(grid.size, dtype=bool)
     if drawn is not None:
-        stack, overlaps, norms = drawn
+        members, overlaps, norms = drawn
         counts = _greedy_net_counts(
-            grid, stack.shape[0],
-            lambda j: _tangent_distance_rows(stack, overlaps, norms, j))
-        unresolved = counts == stack.shape[0]
+            grid, len(members),
+            lambda j: _tangent_distance_rows(members, overlaps, norms, j))
+        unresolved = counts == len(members)
     logs = np.where(counts > 0, np.log(np.maximum(counts, 1)), 0.0)
     roots = np.sqrt(logs)
     dudley_value = float(np.trapezoid(roots, grid))

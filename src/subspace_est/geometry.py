@@ -11,8 +11,9 @@ match reads exactly 0 and the distance is exactly symmetric.  The power step
 in estimators tests convergence with the O(p r^2) residual form on the right.
 Neither uses the Gram identity in the middle: it subtracts ||U1' U2||_F^2
 from r and so cannot resolve a distance below about 1e-8, the default
-convergence tolerance.  The greedy nets in entropy do use it, at radii far
-above that floor.
+convergence tolerance.  The greedy nets in entropy do use it between
+members, at radii far above that floor; their tangent norms use the residual
+form, whose skip rule must see a draw equal to the center as near zero.
 """
 
 from __future__ import annotations

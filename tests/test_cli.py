@@ -76,6 +76,20 @@ def test_estimate_noiseless_round_trip(tmp_path):
     assert u.shape == (12, 1)
 
 
+def test_estimate_rank_other_than_truth_null_distance(tmp_path):
+    sim = tmp_path / "sim"
+    argv = ["simulate", "--family", "wishart", "--p", "12", "--n", "40",
+            "--r", "2", "--t", "5", "--sigma", "1", "--constraint", "none",
+            "--seed", "1", "--out", str(sim)]
+    assert main(argv) == 0
+    est = tmp_path / "est"
+    argv = ["estimate", "--in", str(sim), "--method", "spectral", "--r", "1",
+            "--out", str(est)]
+    assert main(argv) == 0
+    assert read_matrix(est / "U_hat.csv").shape == (12, 1)
+    assert json.loads((est / "report.json").read_text())["d_to_truth"] is None
+
+
 def test_estimate_sign_model_entries(tmp_path):
     sim = tmp_path / "sim"
     argv = ["simulate", "--family", "clustering", "--n", "10", "--p", "30",
@@ -208,6 +222,15 @@ def test_entropy_singleton_dudley_zero(tmp_path):
     # every draw equals the center, so no scale took a drawn element
     assert payload["unresolved"] == [False] * 24
     assert payload["unresolved_share"] == {"dudley": 0.0, "dudley_prime": 0.0}
+
+
+def test_entropy_budget_below_one_exit_two(tmp_path):
+    for budget in ("0", "-5"):
+        out = tmp_path / f"ent{budget}"
+        argv = ["entropy", "--constraint", "nonneg", "--p", "8", "--r", "2",
+                "--budget", budget, "--out", str(out)]
+        assert main(argv) == 2
+        assert not (out / "entropy.json").exists()
 
 
 def test_oracle_strong_signal_agreement(tmp_path):

@@ -293,3 +293,28 @@ def test_project_batch_nonneg_blocks_match_per_slice_reference():
                 assert ok.all()
                 for i, member in enumerate(members):
                     assert np.array_equal(member, want[start + i])
+
+
+def test_project_batch_nonneg_tiny_clips_match_svd_zero_test():
+    # clips whose largest entry lies below 2e-12 fall back to the svd zero
+    # test; a single entry sits on either side of its 1e-12 floor, and a
+    # column of such entries can lift sigma_max above it
+    rng = np.random.default_rng(21)
+    for p, r in ((8, 2), (9, 3)):
+        cset = nonneg(p, r)
+        slices = [rng.standard_normal((p, r))]
+        for value in (1e-13, 1.5e-12, 2e-12, 5e-12):
+            single = -np.abs(rng.standard_normal((p, r)))
+            single[3, 1] = value
+            column = -np.abs(rng.standard_normal((p, r)))
+            column[:, 0] = value
+            slices += [single, column, rng.standard_normal((p, r))]
+        slices.append(-np.abs(rng.standard_normal((p, r))))
+        stack = np.stack(slices)
+        want = [_project_nonneg_reference(s) for s in stack]
+        for size in (1, 3, 7):
+            for start in range(0, len(stack), size):
+                members, ok = project_batch(cset, stack[start:start + size])
+                assert ok.all()
+                for i, member in enumerate(members):
+                    assert np.array_equal(member, want[start + i])

@@ -181,6 +181,17 @@ def test_covering_estimate_matches_sequential_greedy_net():
         assert covering_number_estimate(cset, eps, budget=150, seed=3) == len(centers)
 
 
+@pytest.mark.parametrize("cset, counts", [
+    (constraints.nonneg(12, 2), [173, 19, 2]),
+    (constraints.sparse(20, 2, 4), [314, 96, 12]),
+])
+def test_covering_estimate_golden_counts(cset, counts):
+    # recorded from the implementation that formed each net row by one
+    # stacked product over the (B, p, r) draws
+    assert [covering_number_estimate(cset, eps, budget=400, seed=0)
+            for eps in (1.2, 1.5, 1.8)] == counts
+
+
 def test_local_packing_below_global_packing():
     # log of the local count at separation eps/2 stays within a factor 2
     # (log scale) of the global greedy-net count at eps
@@ -212,19 +223,54 @@ def test_local_packing_grassmannian_scaling():
 def test_tangent_distance_rows_match_projector_differences():
     cset = constraints.nonneg(10, 2)
     center = constraints.random_member(cset, 3)
-    stack, overlaps, norms = entropy._draw_tangent_stack(
+    members, overlaps, norms = entropy._draw_tangent_stack(
         cset, center, 12, constraints.as_generator(4))
     proj = center.values @ center.values.T
     tangents = []
-    for w, norm in zip(stack, norms):
-        diff = w @ w.T - proj
+    for wt, norm in zip(members, norms):
+        diff = wt.T @ wt - proj
         fro = np.linalg.norm(diff)
         assert norm == pytest.approx(fro, abs=1e-12)
         tangents.append(diff / fro)
     for j in range(len(tangents)):
-        rows = entropy._tangent_distance_rows(stack, overlaps, norms, j)
+        rows = entropy._tangent_distance_rows(members, overlaps, norms, j)
         explicit = [np.linalg.norm(t - tangents[j]) for t in tangents]
         assert rows == pytest.approx(explicit, abs=1e-6)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("kind", ["sparse", "nonneg", "none", "subspace"])
+def test_captured_rows_match_stacked_products(kind, r):
+    # one GEMM on the row matrix against one small product per slice
+    p = 12
+    if kind == "subspace":
+        basis = np.linalg.qr(np.random.default_rng(5).standard_normal((p, 5)))[0]
+        cset = constraints.subspace(OrthonormalFrame(basis), r)
+    else:
+        cset = constraints.parse_constraint(
+            "sparse:k=4" if kind == "sparse" else kind, p, r)
+    stack = constraints.random_members(cset, 0, 60)
+    members = entropy._transposed(stack)
+    center = constraints.random_member(cset, 1).values
+    for w in (stack[0], stack[17], stack[59], center):
+        cross = stack.swapaxes(1, 2) @ w
+        explicit = np.sum(cross * cross, axis=(1, 2))
+        assert np.max(np.abs(entropy._captured(members, w) - explicit)) <= 1e-14
+
+
+def test_entropy_estimates_reject_budget_below_one(monkeypatch):
+    cset = constraints.nonneg(8, 2)
+    center = constraints.random_member(cset, 0)
+
+    def no_draws(*args):
+        raise AssertionError("members drawn before the budget check")
+
+    monkeypatch.setattr(constraints, "random_members", no_draws)
+    for budget in (0, -3):
+        with pytest.raises(ValueError):
+            covering_number_estimate(cset, 0.5, budget=budget)
+        with pytest.raises(ValueError):
+            dudley_estimate(cset, center, budget=budget)
 
 
 def test_entropy_estimate_validation():
@@ -283,6 +329,22 @@ def test_dudley_p64_golden(text, value, prime, tail):
     assert est.dudley_value.hex() == value
     assert est.dudley_prime.hex() == prime
     assert [v.hex() for v in est.log_covering] == [_LOG_1000] * 20 + tail
+
+
+_SPARSE_P32_COUNTS = [399, 398, 397, 397, 395, 393, 391, 384, 383, 378, 372, 364,
+                      361, 344, 324, 304, 277, 248, 195, 141, 64, 31, 4, 1]
+
+
+def test_dudley_p32_rank_one_golden():
+    # every scale resolved, with counts a few apart, so a distance row that
+    # moved past an epsilon would show; recorded from the implementation that
+    # formed p x p projector differences for the tangent norms
+    cset = constraints.sparse(32, 1, 2)
+    center = constraints.random_member(cset, 0)
+    est = dudley_estimate(cset, center, budget=400, seed=1)
+    assert est.dudley_value.hex() == "0x1.44bdd30650fa4p+1"
+    assert est.log_covering == tuple(np.log(np.array(_SPARSE_P32_COUNTS)))
+    assert not any(est.unresolved)
 
 
 def test_dudley_flags_unresolved_scales():
