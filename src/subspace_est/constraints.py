@@ -4,6 +4,8 @@ Each set lives inside the orthonormal p x r frames.  `project_batch` maps
 every slice of a stack of matrices to a member and `project` is its one-slice
 case, `contains` tests membership, and `random_members` draws a stack of
 members for Monte Carlo work, with `random_member` its one-slice case.
+Non-negative orthonormal columns have disjoint supports, so for r > 1 the
+non-negative projection searches over row-to-column assignments.
 `ConstraintSet.rate_term` gives the set's entropy term in the minimax rate.
 """
 
@@ -26,9 +28,8 @@ UNCONSTRAINED = "none"
 
 _KINDS = (SPARSE, NONNEG, SUBSPACE, SIGNS, UNCONSTRAINED)
 
-# rounds and movement threshold for the alternating non-negative projection
-_NN_ROUNDS = 50
-_NN_MOVE_TOL = 1e-10
+# a non-negative assignment move must gain more than this share of the value
+_MOVE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -130,36 +131,6 @@ def contains(cset: ConstraintSet, frame: OrthonormalFrame, tol: float = 1e-8) ->
     return bool(np.max(np.abs(np.abs(m) - 1.0 / np.sqrt(cset.p))) <= tol)
 
 
-def _disjoint_support_cleanup(w: np.ndarray, original: np.ndarray) -> np.ndarray:
-    """Force row-disjoint column supports, then give every column unit norm.
-
-    Each row keeps only its largest entry.  A column left empty takes its
-    strongest free row; when no row is free, the p rows sit in at most r - 1
-    columns, so for p >= r some column holds two rows and gives up its
-    weakest.  Every column therefore ends nonzero.
-    """
-    p, r = w.shape
-    keep = np.zeros_like(w)
-    owner = np.argmax(w, axis=1)
-    rows = np.arange(p)
-    keep[rows, owner] = w[rows, owner]
-    for j in range(r):
-        if np.linalg.norm(keep[:, j]) > 0.0:
-            continue
-        free = np.where(np.all(keep == 0.0, axis=1))[0]
-        if free.size == 0:
-            # steal the weakest row of the most populated column
-            donor = int(np.argmax(np.sum(keep > 0.0, axis=0)))
-            cand = np.where(keep[:, donor] > 0.0)[0]
-            row = cand[int(np.argmin(keep[cand, donor]))]
-            keep[row, donor] = 0.0
-        else:
-            row = free[int(np.argmax(original[free, j]))]
-        keep[row, j] = 1.0
-    norms = np.linalg.norm(keep, axis=0)
-    return keep / norms
-
-
 def _project_nonneg_rank_one(stack: np.ndarray) -> np.ndarray:
     """Clip and renormalize every p x 1 slice; a slice with no positive
     entry maps to the basis vector at its largest entry."""
@@ -167,55 +138,94 @@ def _project_nonneg_rank_one(stack: np.ndarray) -> np.ndarray:
     norms = frobenius_norms(clipped)
     zero = norms <= 0.0
     out = clipped / np.where(zero, 1.0, norms)[:, None, None]
-    if zero.any():
-        for i in np.flatnonzero(zero):
-            out[i] = 0.0
-            out[i, int(np.argmax(stack[i, :, 0])), 0] = 1.0
+    zero = np.flatnonzero(zero)
+    out[zero] = 0.0
+    out[zero, np.argmax(stack[zero, :, 0], axis=1), 0] = 1.0
     return out
 
 
-def _project_nonneg_stack(s: np.ndarray) -> np.ndarray:
-    """Alternating projection of every p x r slice of a stack, r > 1.
+def _columns(s, sq, owner):
+    """For assignments owner (B, p) of a stack s held as (B, r, p) with
+    squared positive parts sq: each column's positive mass (a forward sum in
+    row order), best owned entry, owned row count, worth without each of its
+    rows (as a (B, p) array over the rows), and best owned row."""
+    count, r, p = s.shape
+    rows, slices = np.arange(p), np.arange(count)[:, None]
+    onehot = owner[:, None, :] == np.arange(r)[:, None]
+    # the rest of a column keeps the owned mass before and after the row (two
+    # sums of non-negative terms), else its best other owned entry
+    owned = np.where(onehot, sq, 0.0)
+    running = np.cumsum(owned, axis=2)
+    start = (owner + r * slices) * p
+    before = np.take(running, start + rows - 1, mode="clip")
+    after = np.take(np.cumsum(owned[:, :, ::-1], axis=2), start + p - 2 - rows, mode="clip")
+    rest = np.where(rows > 0, before, 0.0) + np.where(rows < p - 1, after, 0.0)
+    entries = np.where(onehot, s, -np.inf)
+    best, best_row = np.max(entries, axis=2), np.argmax(entries, axis=2)
+    entries[slices, np.arange(r), best_row] = -np.inf
+    other = np.where(best_row[slices, owner] == rows, np.max(entries, axis=2)[slices, owner],
+                     best[slices, owner])
+    without = np.where(rest > 0.0, np.sqrt(rest), other)
+    return running[:, :, -1], best, np.sum(onehot, axis=2), without, best_row
 
-    Each round clips the live slices, tests them for a zero clip, and moves
-    the rest to the polar factor of their clip; a slice leaves the live set
-    when its clip is zero or its move falls below _NN_MOVE_TOL.  The zero
-    test is the one-slice rule "every singular value below 1e-12", decided
-    from the largest entry wherever that settles it, and the polar factor
-    stays an svd, as on one slice.  The final feasibility pass then runs
-    slice by slice.
+
+def _best_moves(s, sq, owner):
+    """Each slice's best single-row move (arguments as in _columns), as the
+    flat index column * p + row, and whether it is taken: where a slice has
+    an empty column (worth 0) only moves that fill one count, else the move
+    must gain over _MOVE_RTOL of sum_j |value_j|; no move empties a column."""
+    count, r, p = s.shape
+    mass, best, rows_owned, without, _ = _columns(s, sq, owner)
+    value = np.where(rows_owned > 0, np.where(mass > 0.0, np.sqrt(mass), best), 0.0)
+    slices = np.arange(count)[:, None]
+    mass = mass[:, :, None] + sq
+    gain = np.where(mass > 0.0, np.sqrt(mass), np.maximum(best[:, :, None], s))
+    gain += (without - value[slices, owner])[:, None, :] - value[:, :, None]
+    filling = np.any(rows_owned == 0, axis=1)
+    gain[(owner[:, None, :] == np.arange(r)[:, None])
+         | (rows_owned[slices, owner] == 1)[:, None, :]
+         | (filling[:, None, None] & (rows_owned > 0)[:, :, None])] = -np.inf
+    flat = gain.reshape(count, r * p)
+    move = np.argmax(flat, axis=1)
+    return move, filling | (flat[slices[:, 0], move] > _MOVE_RTOL * np.sum(np.abs(value), axis=1))
+
+
+def _project_nonneg_stack(s: np.ndarray) -> np.ndarray:
+    """Assignment projection of every p x r slice of a stack, r > 1.
+
+    Non-negative orthonormal columns have disjoint supports, so the member
+    nearest a slice S maximizes <W, S> = sum_j value_j over assignments of
+    rows to columns, where column j is worth ||S+_{A_j, j}|| on its rows
+    A_j, or its best entry when S has no positive entry there.  Each slice
+    starts at the row-argmax of S and takes its best single-row move per
+    round, one that fills an empty column first, until no move gains more
+    than _MOVE_RTOL of sum_j |value_j|.  Ties go to the lowest column, then
+    row, so each slice is its one-slice result at every block size.  The
+    search is local: it reaches the maximum on nearly every Gaussian slice
+    once p >= 2 r, less often as p nears r and columns own one row each.
     """
-    r = s.shape[2]
-    u = s.copy()
-    live = np.arange(s.shape[0])
-    for _ in range(_NN_ROUNDS):
-        clipped = np.clip(u[live], 0.0, None)
-        # sigma_max >= the largest entry, so only a clip whose entries all lie
-        # below 2e-12 can pass the zero test; the svd runs on those alone
-        nonzero = np.max(clipped, axis=(1, 2)) >= 2e-12
-        small = np.flatnonzero(~nonzero)
-        if small.size:
-            nonzero[small] = ~np.all(
-                np.linalg.svd(clipped[small], compute_uv=False) < 1e-12, axis=1)
-        live, clipped = live[nonzero], clipped[nonzero]
-        if not live.size:
-            break
-        w, _, vt = np.linalg.svd(clipped, full_matrices=False)
-        nxt = w @ vt
-        moving = ~(frobenius_norms(nxt - u[live]) < _NN_MOVE_TOL)
-        u[live] = nxt
-        live = live[moving]
-    members = np.empty_like(s)
-    for i in range(s.shape[0]):
-        w = np.clip(u[i], 0.0, None)
-        norms = np.linalg.norm(w, axis=0)
-        if np.all(norms > 1e-12):
-            cand = w / norms
-            if np.max(np.abs(cand.T @ cand - np.eye(r))) <= 1e-12:
-                members[i] = cand
-                continue
-        members[i] = _disjoint_support_cleanup(w, s[i])
-    return members
+    count, p, r = s.shape
+    # dividing each slice by a power of two near its largest entry is exact
+    # in the normal range, so no member changes, but the large squares stay
+    # finite and nonzero
+    _, exponent = np.frexp(np.max(np.abs(s), axis=(1, 2)))
+    cols = np.ldexp(s.transpose(0, 2, 1), -exponent[:, None, None], order="C")
+    sq = np.clip(cols, 0.0, None) ** 2
+    owner = np.argmax(s, axis=2)
+    live, state = np.arange(count), (cols, sq, owner.copy())
+    while live.size:
+        move, go = _best_moves(*state)
+        live, move, state = live[go], move[go], tuple(x[go] for x in state)
+        state[2][np.arange(live.size), move % p] = move // p
+        owner[live] = state[2]
+    mass, _, _, _, best_row = _columns(cols, sq, owner)
+    members = np.where(owner[:, None, :] == np.arange(r)[:, None], np.clip(cols, 0.0, None), 0.0)
+    members /= np.sqrt(np.where(mass > 0.0, mass, 1.0))[:, :, None]
+    # a column without positive mass is the basis vector at its best owned row
+    slices, empty = np.nonzero(mass <= 0.0)
+    members[slices, empty] = 0.0
+    members[slices, empty, best_row[slices, empty]] = 1.0
+    return np.ascontiguousarray(members.transpose(0, 2, 1))
 
 
 def project_batch(cset: ConstraintSet, stack) -> tuple:
@@ -232,10 +242,9 @@ def project_batch(cset: ConstraintSet, stack) -> tuple:
     sqrt(p); "subspace" re-orthonormalizes the basis-plane projection;
     "none" re-orthonormalizes; "sparse" keeps the k rows of largest Euclidean
     norm (a shared-support reduction) and re-orthonormalizes the surviving
-    block; "nonneg" clips negatives for r = 1, and for r > 1 alternates
-    clipping with polar orthonormalization on the whole stack, each slice
-    leaving it on its own exit test, before a final feasibility pass per
-    slice.
+    block; "nonneg" clips negatives for r = 1, and for r > 1 gives each row
+    to one column by improving single-row moves (_project_nonneg_stack), so
+    a member comes back as itself up to rounding.
     """
     s = np.asarray(stack, dtype=float)
     if s.ndim != 3 or s.shape[1:] != (cset.p, cset.r):
@@ -296,17 +305,16 @@ def random_members(cset: ConstraintSet, seed, count: int) -> np.ndarray:
     on the same generator, so a draw split into blocks on one generator
     equals one call.  Draws are Haar where the set is rotation invariant,
     else a natural seeded surrogate: a uniform support with a Haar block
-    ("sparse"), fair signs ("signs"), or absolute Gaussians normalized for
-    r = 1 and projected for r > 1 ("nonneg").  Gaussian draws come from one
-    generator call; sparse supports and signs are drawn slice by slice.
-    Raises RankDeficient where a draw has no member.
+    ("sparse"), fair signs ("signs"), or projected absolute Gaussians
+    ("nonneg"; for r > 1 the projection is the row-to-column assignment
+    search).  Gaussian draws and signs come from one generator call each;
+    sparse supports are drawn slice by slice.  Raises RankDeficient where a
+    draw has no member.
     """
     rng = as_generator(seed)
     p, r = cset.p, cset.r
     if cset.kind == SIGNS:
-        s = np.empty((count, p))
-        for i in range(count):
-            s[i] = rng.integers(0, 2, size=p) * 2.0 - 1.0
+        s = rng.integers(0, 2, size=(count, p)) * 2.0 - 1.0
         return s[:, :, None] / np.sqrt(p)
     if cset.kind == SPARSE:
         supports = np.empty((count, cset.k), dtype=np.intp)
@@ -323,10 +331,7 @@ def random_members(cset: ConstraintSet, seed, count: int) -> np.ndarray:
     if cset.kind == SUBSPACE:
         inner = _orthonormal_or_raise(rng.standard_normal((count, cset.basis.r, r)))
         return cset.basis.values @ inner
-    draws = np.abs(rng.standard_normal((count, p, r)))
-    if r == 1:
-        return draws / frobenius_norms(draws)[:, None, None]
-    return project_batch(cset, draws)[0]
+    return project_batch(cset, np.abs(rng.standard_normal((count, p, r))))[0]
 
 
 def random_member(cset: ConstraintSet, seed) -> OrthonormalFrame:

@@ -298,8 +298,10 @@ def covering_number_estimate(cset: constraints.ConstraintSet, epsilon: float,
 
     Members are drawn from one seeded stream and compared in the projector
     metric; a draw becomes a new net center whenever it is at least epsilon
-    away from all current centers.
+    away from all current centers.  Raises ValueError unless epsilon > 0.
     """
+    if not epsilon > 0:
+        raise ValueError(f"need a positive epsilon, got {epsilon}")
     _check_budget(budget)
     stack = constraints.random_members(cset, seed, budget)
     check_orthonormal(stack)

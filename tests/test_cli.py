@@ -233,6 +233,24 @@ def test_entropy_budget_below_one_exit_two(tmp_path):
         assert not (out / "entropy.json").exists()
 
 
+_REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference.json")
+
+
+def test_entropy_p64_within_benchmark_reference(tmp_path):
+    # the benchmark checks its seed-0 entropy commands against the Dudley
+    # values it holds, to 5 %; a change of rule that would fail that check
+    # fails here first
+    with open(_REFERENCE) as fh:
+        reference = json.load(fh)["entropy-p64"]
+    for text, want in zip(("sparse:k=8", "nonneg"), reference):
+        out = tmp_path / text.replace(":", "_")
+        argv = ["entropy", "--p", "64", "--r", "2", "--budget", "1000",
+                "--constraint", text, "--out", str(out)]
+        assert main(argv) == 0
+        got = json.loads((out / "entropy.json").read_text())["dudley"]
+        assert abs(got - want["dudley"]) <= 0.05 * want["dudley"]
+
+
 def test_oracle_strong_signal_agreement(tmp_path):
     out = tmp_path / "oracle"
     argv = ["oracle", "--n", "10", "--p", "30", "--t", "25", "--sigma", "1",
