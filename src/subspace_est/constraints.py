@@ -273,11 +273,14 @@ def project_batch(cset: ConstraintSet, stack) -> tuple:
 
 def project(cset: ConstraintSet, u) -> OrthonormalFrame:
     """Map a frame or matrix to a member of the constraint set: the one-slice
-    case of project_batch.  Raises DegenerateInput where no member exists."""
+    case of project_batch.  Raises DegenerateInput where no member exists and
+    ValueError on an input with NaN or infinite entries."""
     m = _as_matrix(u)
     if m.shape != (cset.p, cset.r):
         raise DimensionMismatch(
             f"input is {m.shape[0]} x {m.shape[1]}, constraint ambient is {cset.p} x {cset.r}")
+    if not np.isfinite(m).all():
+        raise ValueError("cannot project an input with non-finite entries")
     members, ok = project_batch(cset, m[None])
     if not ok[0]:
         raise DegenerateInput(f"no {cset.kind} member for this input")

@@ -71,13 +71,6 @@ class PackingSet:
                         f"members {i}, {j} at distance {dist:.6g} are closer than "
                         f"the separation {self.separation:.6g}")
 
-    def min_pairwise_distance(self) -> float:
-        best = math.inf
-        for i in range(len(self.members)):
-            for j in range(i + 1, len(self.members)):
-                best = min(best, subspace_distance(self.members[i], self.members[j]))
-        return best
-
 
 @dataclass
 class EntropyEstimate:

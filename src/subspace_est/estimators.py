@@ -3,17 +3,21 @@ sign search, and spectral truncation.
 
 Every method maximizes the trace form tr(U' M U) over the constraint set.
 The methods work on symmetric matrices M only; models.objective_matrix
-builds M from an observation of each family.
+builds M from an observation of each family.  They run on a (B, p, p) stack
+of objective matrices: the spectral step (the iteration's default init and
+the spectral method) is one stacked eigh and one stacked projection, and the
+power steps run as one block.  spectral_estimate and estimate are the
+one-slice cases.  Each result carries the best objective value it visited.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import constraints
-from .errors import DimensionMismatch, RankDeficient, TooLarge
+from .errors import DegenerateInput, DimensionMismatch, RankDeficient, TooLarge
 from .geometry import (OrthonormalFrame, check_orthonormal, frobenius_norms,
                        orthonormalize_batch)
 
@@ -49,20 +53,31 @@ class EstimatorConfig:
 
 @dataclass
 class IterationResult:
+    """An estimate: the frame, the best objective value tr(U' M U) the
+    method visited (the frame's own value), the power steps taken, whether
+    the step test was met, and the silent restarts after a rank collapse."""
+
     frame: OrthonormalFrame
-    trace_path: list = field(default_factory=list)
+    objective: float
     iterations: int = 0
     converged: bool = False
     restarts: int = 0
-
-    @property
-    def objective(self) -> float:
-        return max(self.trace_path)
 
 
 def objective(frame: OrthonormalFrame, m: np.ndarray) -> float:
     """The trace form tr(U' M U)."""
     return float(np.sum(frame.values * (m @ frame.values)))
+
+
+def _top_eigenvectors(ms: np.ndarray, rank: int) -> np.ndarray:
+    """Top-rank eigenvectors of every symmetrized slice of a (B, p, p) stack,
+    as a (B, p, rank) stack, in a stable order for tied eigenvalues and with
+    each column's largest-magnitude entry made positive."""
+    evals, evecs = np.linalg.eigh((ms + ms.transpose(0, 2, 1)) / 2.0)
+    order = np.argsort(-evals, axis=1, kind="stable")[:, None, :rank]
+    cols = np.take_along_axis(evecs, order, axis=2)
+    lead = np.take_along_axis(cols, np.argmax(np.abs(cols), axis=1)[:, None, :], axis=1)
+    return np.where(lead < 0, -cols, cols)
 
 
 def spectral_estimate(m: np.ndarray, rank: int) -> OrthonormalFrame:
@@ -74,21 +89,24 @@ def spectral_estimate(m: np.ndarray, rank: int) -> OrthonormalFrame:
         raise DimensionMismatch(f"need a square matrix, got shape {m.shape}")
     if rank > m.shape[0]:
         raise DimensionMismatch("rank exceeds matrix size")
-    evals, evecs = np.linalg.eigh((m + m.T) / 2.0)
-    order = np.argsort(-evals, kind="stable")
-    cols = evecs[:, order[:rank]].copy()
-    for j in range(rank):
-        lead = int(np.argmax(np.abs(cols[:, j])))
-        if cols[lead, j] < 0:
-            cols[:, j] = -cols[:, j]
-    return OrthonormalFrame(cols)
+    return OrthonormalFrame(_top_eigenvectors(m[None], rank)[0])
 
 
-def _initial_frame(m: np.ndarray, cset: constraints.ConstraintSet,
-                   config: EstimatorConfig) -> OrthonormalFrame:
-    if config.init == RANDOM_INIT:
-        return constraints.random_member(cset, config.init_seed)
-    return constraints.project(cset, spectral_estimate(m, cset.r))
+def _spectral_members(ms: np.ndarray, cset: constraints.ConstraintSet) -> np.ndarray:
+    """project(cset, spectral_estimate(m, cset.r)) for every slice m of a
+    (B, p, p) stack, as one (B, p, r) array; raises DegenerateInput where a
+    slice has no member."""
+    members, ok = constraints.project_batch(cset, _top_eigenvectors(ms, cset.r))
+    if not ok.all():
+        raise DegenerateInput(f"no {cset.kind} member for this input")
+    check_orthonormal(members)
+    return members
+
+
+def _check_stack(ms: np.ndarray, cset: constraints.ConstraintSet) -> None:
+    if ms.ndim != 3 or ms.shape[1:] != (cset.p, cset.p):
+        raise DimensionMismatch(
+            f"objective stack is {ms.shape}, constraint ambient is {cset.p}")
 
 
 def _power_step(mu: np.ndarray, cset: constraints.ConstraintSet) -> tuple:
@@ -111,32 +129,35 @@ def iterative_projection_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
     than config.tol in the projector distance or after max_iter rounds.  The
     step is measured as sqrt(2) ||a - b (b'a)||_F, which equals
     ||aa' - bb'||_F (both squares are 2 (r - ||b'a||_F^2)) in O(p r^2) and
-    keeps full relative precision near zero.  Each returned frame is the best
-    objective value its slice visited, not necessarily the last iterate.  A
-    rank collapse restarts the slice's iteration from a fresh random member,
-    at most five times, before raising RankDeficient; the result counts the
-    restarts.
+    keeps full relative precision near zero.  Each returned frame is the
+    iterate of best objective value its slice visited, not necessarily the
+    last one, and the result carries that value.  A rank collapse restarts
+    the slice's iteration from a fresh random member, at most five times,
+    before raising RankDeficient; the result counts the restarts.
 
-    The power loops of all slices run as one stacked block: one stacked
-    product, QR, projection and orthonormality check per step.  A slice
-    leaves the block when it converges or reaches max_iter, and a restart
-    touches only its own slice.  Each result is bit for bit the result of
-    the slice run alone, in a block of one.  ms is taken over as working
-    memory: its slices are reordered in place as trials finish.
+    All slices run as one stacked block.  The spectral init is one stacked
+    eigh and projection; the random init is one draw that every slice starts
+    from.  Each step is one stacked product, QR, projection and
+    orthonormality check.  A slice leaves the block when it converges or
+    reaches max_iter, and a restart touches only its own slice.  Each result
+    is bit for bit the result of the slice run alone, in a block of one.  ms
+    is taken over as working memory: its slices are reordered in place as
+    trials finish.
     """
     if config is None:
         config = EstimatorConfig()
-    if ms.ndim != 3 or ms.shape[1:] != (cset.p, cset.p):
-        raise DimensionMismatch(
-            f"objective stack is {ms.shape}, constraint ambient is {cset.p}")
+    _check_stack(ms, cset)
     count = ms.shape[0]
     if count == 0:
         return []
-    cur = np.stack([_initial_frame(m, cset, config).values for m in ms])
+    if config.init == RANDOM_INIT:
+        start = constraints.random_member(cset, config.init_seed).values
+        cur = np.repeat(start[None], count, axis=0)
+    else:
+        cur = _spectral_members(ms, cset)
     # mu = M U serves both the trace form tr(U' M U) and the next lift
     mu = ms @ cur
     values = (cur * mu).sum(axis=(1, 2))
-    paths = [[v] for v in values.tolist()]
     best, best_val = cur.copy(), values
     iterations = np.zeros(count, dtype=int)
     restarts = np.zeros(count, dtype=int)
@@ -157,8 +178,6 @@ def iterative_projection_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
         b = cur[:live]
         mu = ms[:live] @ nxt
         values = (nxt * mu).sum(axis=(1, 2))
-        for index, value in zip(trial[:live].tolist(), values.tolist()):
-            paths[index].append(value)
         better = values > best_val[:live]
         np.copyto(best[:live], nxt, where=better[:, None, None])
         np.copyto(best_val[:live], values, where=better)
@@ -174,7 +193,7 @@ def iterative_projection_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
         for slot in np.flatnonzero(finished)[::-1]:
             index = int(trial[slot])
             results[index] = IterationResult(
-                OrthonormalFrame(best[slot].copy()), paths[index],
+                OrthonormalFrame(best[slot].copy()), float(best_val[slot]),
                 int(iterations[slot]), bool(converged[slot]), int(restarts[slot]))
             live -= 1
             if slot != live:
@@ -218,21 +237,24 @@ def estimate_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
 
     Iterative projection runs the slices as one block
     (iterative_projection_batch, which takes ms over as working memory).
-    Spectral truncation and exhaustive search take no power steps: they
-    report 0 iterations, converged, and the one objective value visited.
+    Spectral truncation is one stacked eigh and projection, and exhaustive
+    search runs slice by slice.  Neither takes power steps: they report 0
+    iterations, converged, and the objective value of their frame.
     """
     if config is None:
         config = EstimatorConfig()
+    _check_stack(ms, cset)
     if config.method == ITERATIVE:
         return iterative_projection_batch(ms, cset, config)
-    results = []
-    for m in ms:
-        if config.method == SPECTRAL:
-            frame = constraints.project(cset, spectral_estimate(m, cset.r))
-        else:
-            frame = exhaustive_argmax(cset, m)
-        results.append(IterationResult(frame, [objective(frame, m)], 0, True))
-    return results
+    if config.method == SPECTRAL:
+        frames = _spectral_members(ms, cset)
+    else:
+        frames = np.empty((len(ms), cset.p, cset.r))
+        for slot, m in enumerate(ms):
+            frames[slot] = exhaustive_argmax(cset, m).values
+    values = (frames * (ms @ frames)).sum(axis=(1, 2))
+    return [IterationResult(OrthonormalFrame(frame), value, 0, True)
+            for frame, value in zip(frames, values.tolist())]
 
 
 def estimate(m: np.ndarray, cset: constraints.ConstraintSet,

@@ -34,7 +34,6 @@ from .geometry import subspace_distance
 
 _CSV_FIELDS = ("family", "p1", "p2", "n", "p", "r", "k", "t", "sigma",
                "trials", "seed", "mean_d", "stderr", "theory_rate")
-_INT_FIELDS = {"p1", "p2", "n", "p", "r", "k", "trials", "seed"}
 
 # bytes of objective matrices that one block of trials holds at once; caps
 # the memory of a risk run whatever its trial count and dimension
@@ -241,30 +240,6 @@ def write_sweep_csv(path, rows) -> None:
         writer.writerow(_CSV_FIELDS)
         for row in rows:
             writer.writerow(row.to_csv_values())
-
-
-def read_sweep_csv(path) -> list:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(_CSV_FIELDS):
-            raise ValueError(f"unexpected sweep header {header}")
-        rows = []
-        for record in reader:
-            if not record:
-                continue
-            kwargs = {}
-            for name, cell in zip(_CSV_FIELDS, record):
-                if cell == "":
-                    kwargs[name] = None
-                elif name in _INT_FIELDS:
-                    kwargs[name] = int(cell)
-                elif name == "family":
-                    kwargs[name] = cell
-                else:
-                    kwargs[name] = float(cell)
-            rows.append(SweepRow(**kwargs))
-        return rows
 
 
 def fit_rate(xs, ys) -> RateFit:

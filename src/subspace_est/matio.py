@@ -30,4 +30,6 @@ def read_matrix(path) -> np.ndarray:
         m = np.loadtxt(fh, delimiter=",", ndmin=2)
     if m.shape != (rows, cols):
         raise ValueError(f"{path}: header says {rows} x {cols}, data is {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{path}: non-finite entries")
     return m

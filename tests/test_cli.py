@@ -296,6 +296,17 @@ def test_simulate_non_finite_subspace_basis_exit_two(tmp_path):
     assert not out.exists()
 
 
+def test_estimate_non_finite_observation_exit_three(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert _simulate(sim) == 0
+    y = read_matrix(sim / "Y.csv")
+    y[3, 4] = np.nan
+    write_matrix(sim / "Y.csv", y)
+    assert main(["estimate", "--in", str(sim), "--out", str(tmp_path / "est")]) == 3
+    assert "malformed matrix file" in capsys.readouterr().err
+    assert not (tmp_path / "est").exists()
+
+
 def test_oracle_fewer_than_one_trial_exit_two(tmp_path, capsys):
     for trials in ("0", "-3"):
         out = tmp_path / f"oracle{trials}"

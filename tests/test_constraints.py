@@ -119,6 +119,18 @@ def test_projection_dimension_mismatch():
         project(nonneg(4, 1), np.zeros((5, 1)))
 
 
+def test_projection_rejects_non_finite_input():
+    basis = _haar(6, 3, 5)
+    csets = [sparse(6, 2, 3), nonneg(6, 1), nonneg(6, 2), subspace(basis, 2),
+             signs(6), unconstrained(6, 2)]
+    for cset in csets:
+        for bad in (np.nan, np.inf, -np.inf):
+            u = np.random.default_rng(1).standard_normal((6, cset.r))
+            u[2, 0] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                project(cset, u)
+
+
 def test_random_member_membership_and_determinism():
     basis = _haar(12, 5, 21)
     csets = [

@@ -77,9 +77,9 @@ def test_iterative_best_visited_invariant():
     m = (a + a.T) / 2.0
     cset = constraints.sparse(20, 2, 6)
     res = estimate(m, cset, EstimatorConfig(max_iter=40))
-    assert res.objective == max(res.trace_path)
     assert abs(objective(res.frame, m) - res.objective) <= 1e-12
-    assert len(res.trace_path) == res.iterations + 1
+    init = constraints.project(cset, spectral_estimate(m, 2))
+    assert res.objective >= objective(init, m)
 
 
 def test_iterative_noiseless_recovery_unconstrained():
@@ -164,10 +164,13 @@ def _reference_orthonormalize(m):
 
 def _reference_iterative(m, cset, config):
     """The power loop before the lean step: a p x p projector-distance step
-    test, a separate objective() matmul, and SVD-then-QR orthonormalization."""
-    current = estimators._initial_frame(m, cset, config)
-    path = [objective(current, m)]
-    best, best_val = current, path[0]
+    test, a separate objective() matmul, and SVD-then-QR orthonormalization,
+    started from the public one-slice init."""
+    if config.init == "random":
+        current = constraints.random_member(cset, config.init_seed)
+    else:
+        current = constraints.project(cset, spectral_estimate(m, cset.r))
+    best, best_val = current, objective(current, m)
     iterations, converged, restarts = 0, False, 0
     while iterations < config.max_iter:
         try:
@@ -179,14 +182,14 @@ def _reference_iterative(m, cset, config):
                 raise RankDeficient("iterate lost rank after 5 restarts")
             current = constraints.random_member(
                 cset, config.init_seed + 1000003 * restarts)
-            path.append(objective(current, m))
-            if path[-1] > best_val:
-                best, best_val = current, path[-1]
+            value = objective(current, m)
+            if value > best_val:
+                best, best_val = current, value
             iterations += 1
             continue
-        path.append(objective(nxt, m))
-        if path[-1] > best_val:
-            best, best_val = nxt, path[-1]
+        value = objective(nxt, m)
+        if value > best_val:
+            best, best_val = nxt, value
         step = float(np.linalg.norm(nxt.values @ nxt.values.T
                                     - current.values @ current.values.T))
         current = nxt
@@ -194,7 +197,7 @@ def _reference_iterative(m, cset, config):
         if step < config.tol:
             converged = True
             break
-    return estimators.IterationResult(best, path, iterations, converged, restarts)
+    return estimators.IterationResult(best, best_val, iterations, converged, restarts)
 
 
 def _denoising_objective(cset, t, seed, p1, p2):
@@ -232,7 +235,7 @@ def test_iterative_matches_reference_loop_bit_for_bit():
         got = estimate(m, cset, cfg)
         want = _reference_iterative(m, cset, cfg)
         assert np.array_equal(got.frame.values, want.frame.values), name
-        assert got.trace_path == want.trace_path, name
+        assert got.objective == want.objective, name
         assert got.iterations == want.iterations, name
         assert got.converged == want.converged, name
         assert got.restarts == want.restarts, name
@@ -272,7 +275,7 @@ def test_engine_blocks_match_reference_loop_bit_for_bit():
                     want = wants[start + offset]
                     label = (name, size, start + offset)
                     assert np.array_equal(got.frame.values, want.frame.values), label
-                    assert got.trace_path == want.trace_path, label
+                    assert got.objective == want.objective, label
                     assert got.iterations == want.iterations, label
                     assert got.converged == want.converged, label
                     assert got.restarts == want.restarts, label
@@ -287,5 +290,114 @@ def test_engine_empty_block_and_shape_guard():
     assert iterative_projection_batch(np.empty((0, 4, 4)), cset) == []
     with pytest.raises(DimensionMismatch):
         iterative_projection_batch(np.zeros((2, 5, 5)), cset)
-    with pytest.raises(DimensionMismatch):
-        estimate(np.zeros((4, 5)), cset)
+    for method in ("iterative", "spectral", "exhaustive"):
+        with pytest.raises(DimensionMismatch):
+            estimate(np.zeros((4, 5)), cset, EstimatorConfig(method=method))
+
+
+def _every_kind():
+    basis = _haar(12, 5, 31)
+    return [constraints.sparse(12, 2, 4), constraints.nonneg(12, 1),
+            constraints.nonneg(12, 2), constraints.subspace(basis, 2),
+            constraints.signs(12), constraints.unconstrained(12, 3)]
+
+
+def _spectral_stack():
+    """The identity (all eigenvalues tied) and four random symmetric slices,
+    two of whose top eigenvectors come out of eigh with a negative lead."""
+    rng = np.random.default_rng(40)
+    slices = [np.eye(12)]
+    for _ in range(4):
+        a = rng.standard_normal((12, 12))
+        slices.append((a + a.T) / 2.0)
+    return np.stack(slices)
+
+
+def _blocks(stack):
+    for size in (1, 2, 3, len(stack)):
+        for start in range(0, len(stack), size):
+            yield size, start, stack[start:start + size].copy()
+
+
+def _reference_spectral(m, rank):
+    """spectral_estimate as a one-slice eigh and a per-column sign loop."""
+    evals, evecs = np.linalg.eigh((m + m.T) / 2.0)
+    cols = evecs[:, np.argsort(-evals, kind="stable")[:rank]].copy()
+    for j in range(rank):
+        if cols[np.argmax(np.abs(cols[:, j])), j] < 0:
+            cols[:, j] = -cols[:, j]
+    return cols
+
+
+def test_stacked_spectral_init_matches_one_slice_path():
+    stack = _spectral_stack()
+    _, raw = np.linalg.eigh(stack)
+    leads = [col[np.argmax(np.abs(col))] for col in raw[:, :, -1]]
+    assert min(leads) < 0  # the sign rule flips some top eigenvector
+    for m in stack:
+        for rank in (1, 2, 3):
+            assert np.array_equal(spectral_estimate(m, rank).values,
+                                  _reference_spectral(m, rank))
+    for cset in _every_kind():
+        wants = [constraints.project(cset, spectral_estimate(m, cset.r)).values
+                 for m in stack]
+        for size, start, block in _blocks(stack):
+            got = estimators._spectral_members(block, cset)
+            for offset, want in enumerate(wants[start:start + size]):
+                assert np.array_equal(got[offset], want), (cset.kind, size, start + offset)
+
+
+def test_spectral_method_on_block_matches_one_slice_path():
+    stack = _spectral_stack()
+    config = EstimatorConfig(method="spectral")
+    for cset in _every_kind():
+        wants = [constraints.project(cset, spectral_estimate(m, cset.r)) for m in stack]
+        for size, start, block in _blocks(stack):
+            for offset, got in enumerate(estimators.estimate_batch(block, cset, config)):
+                want, m = wants[start + offset], stack[start + offset]
+                label = (cset.kind, size, start + offset)
+                assert np.array_equal(got.frame.values, want.values), label
+                assert got.objective == objective(want, m), label
+                assert (got.iterations, got.converged, got.restarts) == (0, True, 0), label
+
+
+def test_exhaustive_method_on_block_matches_one_slice_path():
+    stack = _spectral_stack()
+    cset = constraints.signs(12)
+    config = EstimatorConfig(method="exhaustive")
+    for size, start, block in _blocks(stack):
+        for offset, got in enumerate(estimators.estimate_batch(block, cset, config)):
+            m = stack[start + offset]
+            want = exhaustive_argmax(cset, m)
+            assert np.array_equal(got.frame.values, want.values), (size, start + offset)
+            assert got.objective == objective(want, m), (size, start + offset)
+    assert estimators.estimate_batch(np.empty((0, 12, 12)), cset, config) == []
+
+
+def test_random_init_on_block_matches_one_slice_path():
+    stack = _spectral_stack()
+    for cset in _every_kind():
+        config = EstimatorConfig(init="random", init_seed=3, max_iter=25)
+        wants = [_reference_iterative(m, cset, config) for m in stack]
+        for size, start, block in _blocks(stack):
+            gots = iterative_projection_batch(block, cset, config)
+            for offset, got in enumerate(gots):
+                want = wants[start + offset]
+                label = (cset.kind, size, start + offset)
+                assert np.array_equal(got.frame.values, want.frame.values), label
+                assert got.objective == want.objective, label
+                assert got.iterations == want.iterations, label
+                assert got.converged == want.converged, label
+                assert got.restarts == want.restarts, label
+
+
+def test_spectral_step_without_member_raises_degenerate():
+    # the top eigenvectors e11, e12 are orthogonal to the basis plane
+    basis = OrthonormalFrame(np.eye(12)[:, :4])
+    cset = constraints.subspace(basis, 2)
+    m = np.diag(np.arange(12.0))
+    with pytest.raises(DegenerateInput):
+        constraints.project(cset, spectral_estimate(m, 2))
+    for method in ("iterative", "spectral"):
+        with pytest.raises(DegenerateInput):
+            estimate(m, cset, EstimatorConfig(method=method))
