@@ -12,11 +12,14 @@ The normalized projector differences
 carry the Frobenius metric; entropy integrals over T summarize how rich the
 constraint set looks from U.  Greedy nets cannot count past the number of
 draws, so each entropy estimate flags the scales where its net took every
-draw.  Members are drawn as stacks (constraints.random_members), bit for bit
-as one draw at a time.  They are compared by one GEMM per net row on the row
-matrix of the transposed draws, and tangent norms take the residual form;
-both agree with per-pair products to rounding, and golden tests pin the
-counts they give.
+draw.  Nets and local packings share one draw path and one greedy loop:
+members come from one seeded stream in bounded blocks
+(constraints.random_members, bit for bit as one draw at a time), each
+distance row is one GEMM on the row matrix of the transposed draws, and a
+packing is the greedy net of the in-ball draws at the separation.  Member
+distances take the Gram form and tangent norms the residual form; both agree
+with per-pair products to rounding, and golden tests pin the counts they
+give.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .geometry import (OrthonormalFrame, check_orthonormal, frobenius_norms,
 
 _SLACK = 1e-9
 
-# tangent draws run in blocks of at most _DRAW_BYTES of p x r frames; larger
+# members are drawn in blocks of at most _DRAW_BYTES of p x r frames; larger
 # blocks buy little speed and cost peak memory
 _DRAW_BYTES = 1 << 17
 
@@ -225,15 +228,19 @@ def greedy_local_packing(cset: constraints.ConstraintSet, center: OrthonormalFra
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    rng = constraints.as_generator(seed)
-    members = [center]
     threshold = alpha * epsilon
-    for _ in range(budget):
-        cand = constraints.random_member(cset, rng)
-        if subspace_distance(cand, center) > epsilon:
-            continue
-        if all(subspace_distance(cand, m) > threshold for m in members):
-            members.append(cand)
+    u = center.values
+    # the center is row 0 whatever its rounded self-distance reads
+    inside = [_transposed(u[None])]
+    for block in _draw_blocks(cset, constraints.as_generator(seed), budget):
+        inside.append(block[_gram_distances(block, u) <= epsilon])
+    points = np.concatenate(inside)
+    # a net at the next float above alpha * epsilon admits exactly the
+    # points farther than alpha * epsilon from every earlier admission
+    _, admitted = _greedy_net_counts(
+        [np.nextafter(threshold, np.inf)], len(points),
+        lambda j: _gram_distances(points, points[j].T))
+    members = [center] + [OrthonormalFrame(w.T) for w in points[1:][admitted[1:]]]
     return PackingSet(center=center, radius=epsilon, separation=threshold,
                       members=members, alpha=alpha)
 
@@ -243,8 +250,9 @@ def _check_budget(budget) -> None:
         raise ValueError(f"budget must be at least 1 draw, got {budget}")
 
 
-def _greedy_net_counts(grid, size: int, rows) -> np.ndarray:
-    """Nested greedy net sizes over size points, one per scale in grid.
+def _greedy_net_counts(grid, size: int, rows) -> tuple:
+    """Nested greedy net sizes over size points, one per scale in grid, and
+    the center mask of the net at the finest scale.
 
     rows(j) returns the distances from point j to every point.  The grid is
     swept from its largest scale down and each net grows out of the previous
@@ -265,7 +273,7 @@ def _greedy_net_counts(grid, size: int, rows) -> np.ndarray:
             is_center[j] = True
             np.minimum(min_dist, rows(j), out=min_dist)
         counts[level] = int(np.count_nonzero(is_center))
-    return counts
+    return counts, is_center
 
 
 def _transposed(stack):
@@ -285,6 +293,22 @@ def _captured(members, w):
     return np.einsum("ij,ij->i", cross, cross)
 
 
+def _gram_distances(members, w):
+    """Projector distances sqrt(2 (r - ||W' w||_F^2)) from the p x r frame w
+    to every member W of a (B, r, p) stack of transposed frames."""
+    return np.sqrt(np.clip(2.0 * (members.shape[1] - _captured(members, w)), 0.0, None))
+
+
+def _draw_blocks(cset, rng, budget):
+    """Yield budget draws of the generator rng as checked, C-ordered
+    (b, r, p) blocks of transposed member frames, each at most _DRAW_BYTES."""
+    block = max(1, _DRAW_BYTES // (8 * cset.p * cset.r))
+    for start in range(0, budget, block):
+        draws = constraints.random_members(cset, rng, min(block, budget - start))
+        check_orthonormal(draws)
+        yield _transposed(draws)
+
+
 def covering_number_estimate(cset: constraints.ConstraintSet, epsilon: float,
                              budget: int = 2000, seed: int = 0) -> int:
     """Greedy net size over budget random members: a lower covering estimate.
@@ -296,34 +320,21 @@ def covering_number_estimate(cset: constraints.ConstraintSet, epsilon: float,
     if not epsilon > 0:
         raise ValueError(f"need a positive epsilon, got {epsilon}")
     _check_budget(budget)
-    stack = constraints.random_members(cset, seed, budget)
-    check_orthonormal(stack)
-    r = stack.shape[2]
-    members = _transposed(stack)
-
-    def rows(j):
-        inner = _captured(members, members[j].T)
-        return np.sqrt(np.clip(2.0 * (r - inner), 0.0, None))
-
-    return int(_greedy_net_counts([epsilon], budget, rows)[0])
+    members = np.concatenate(list(_draw_blocks(cset, constraints.as_generator(seed), budget)))
+    counts, _ = _greedy_net_counts(
+        [epsilon], budget, lambda j: _gram_distances(members, members[j].T))
+    return int(counts[0])
 
 
 def _draw_tangent_stack(cset, center, budget, rng):
     """Transposed member frames defining tangent elements, as a (n, r, p)
-    stack, with their center overlaps and projector-difference norms.
-
-    Members are drawn in blocks with one orthonormality check per block; a
+    stack, with their center overlaps and projector-difference norms.  A
     draw whose projector equals the center's is skipped.
     """
     u = center.values
-    p, r = u.shape
-    block = max(1, _DRAW_BYTES // (8 * p * r))
     frames, overlaps, norms = [], [], []
-    for start in range(0, budget, block):
-        draws = constraints.random_members(cset, rng, min(block, budget - start))
-        check_orthonormal(draws)
-        members = _transposed(draws)
-        cross = members.reshape(-1, p) @ u
+    for members in _draw_blocks(cset, rng, budget):
+        cross = members.reshape(-1, u.shape[0]) @ u
         # ||W W' - U U'||_F = sqrt(2) ||W' - (W' U) U'||_F, the residual form
         # of the power step: it keeps full relative precision near zero, so a
         # draw equal to the center reads ~1e-16 and the skip rule below
@@ -380,7 +391,7 @@ def dudley_estimate(cset: constraints.ConstraintSet, center: OrthonormalFrame,
     unresolved = np.zeros(grid.size, dtype=bool)
     if drawn is not None:
         members, overlaps, norms = drawn
-        counts = _greedy_net_counts(
+        counts, _ = _greedy_net_counts(
             grid, len(members),
             lambda j: _tangent_distance_rows(members, overlaps, norms, j))
         unresolved = counts == len(members)

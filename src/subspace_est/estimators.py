@@ -109,17 +109,6 @@ def _check_stack(ms: np.ndarray, cset: constraints.ConstraintSet) -> None:
             f"objective stack is {ms.shape}, constraint ambient is {cset.p}")
 
 
-def _power_step(mu: np.ndarray, cset: constraints.ConstraintSet) -> tuple:
-    """Orthonormalize and project every lifted slice; (members, ok) as in
-    constraints.project_batch, with ok False also where the lift lost rank."""
-    lifted, ok = orthonormalize_batch(mu)
-    if ok.all():
-        return constraints.project_batch(cset, lifted)
-    members = np.empty_like(lifted)
-    members[ok], ok[ok] = constraints.project_batch(cset, lifted[ok])
-    return members, ok
-
-
 def iterative_projection_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
                                config: EstimatorConfig | None = None) -> list:
     """Projected power iteration on every slice of a (B, p, p) stack:
@@ -140,9 +129,7 @@ def iterative_projection_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
     from.  Each step is one stacked product, QR, projection and
     orthonormality check.  A slice leaves the block when it converges or
     reaches max_iter, and a restart touches only its own slice.  Each result
-    is bit for bit the result of the slice run alone, in a block of one.  ms
-    is taken over as working memory: its slices are reordered in place as
-    trials finish.
+    is bit for bit the result of the slice run alone, in a block of one.
     """
     if config is None:
         config = EstimatorConfig()
@@ -163,43 +150,38 @@ def iterative_projection_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
     restarts = np.zeros(count, dtype=int)
     trial = np.arange(count)  # the trial whose loop each slot holds
     results = [None] * count
-    live = count
-    while live:
-        nxt, ok = _power_step(mu, cset)
-        if not ok.all():
-            for slot in np.flatnonzero(~ok):
-                restarts[slot] += 1
-                if restarts[slot] > _MAX_RESTARTS:
-                    raise RankDeficient(
-                        f"iterate lost rank after {_MAX_RESTARTS} restarts")
-                nxt[slot] = constraints.random_member(
-                    cset, config.init_seed + 1000003 * int(restarts[slot])).values
+    while trial.size:
+        lifted, ok = orthonormalize_batch(mu)
+        nxt, fits = constraints.project_batch(cset, lifted)
+        ok &= fits
+        for slot in np.flatnonzero(~ok):
+            restarts[slot] += 1
+            if restarts[slot] > _MAX_RESTARTS:
+                raise RankDeficient(
+                    f"iterate lost rank after {_MAX_RESTARTS} restarts")
+            nxt[slot] = constraints.random_member(
+                cset, config.init_seed + 1000003 * int(restarts[slot])).values
         check_orthonormal(nxt)
-        b = cur[:live]
-        mu = ms[:live] @ nxt
+        mu = ms @ nxt
         values = (nxt * mu).sum(axis=(1, 2))
-        better = values > best_val[:live]
-        np.copyto(best[:live], nxt, where=better[:, None, None])
-        np.copyto(best_val[:live], values, where=better)
+        better = values > best_val
+        np.copyto(best, nxt, where=better[:, None, None])
+        np.copyto(best_val, values, where=better)
         # a restart takes no step test
-        step = np.sqrt(2.0) * frobenius_norms(nxt - b @ (b.transpose(0, 2, 1) @ nxt))
+        step = np.sqrt(2.0) * frobenius_norms(nxt - cur @ (cur.transpose(0, 2, 1) @ nxt))
         converged = ok & (step < config.tol)
-        b[...] = nxt
-        iterations[:live] += 1
-        finished = converged | (iterations[:live] >= config.max_iter)
+        cur = nxt
+        iterations += 1
+        finished = converged | (iterations >= config.max_iter)
         if not finished.any():
             continue
-        # descending, so the last live slot moved into a finished one is live
-        for slot in np.flatnonzero(finished)[::-1]:
-            index = int(trial[slot])
-            results[index] = IterationResult(
+        for slot in np.flatnonzero(finished):
+            results[int(trial[slot])] = IterationResult(
                 OrthonormalFrame(best[slot].copy()), float(best_val[slot]),
                 int(iterations[slot]), bool(converged[slot]), int(restarts[slot]))
-            live -= 1
-            if slot != live:
-                for arr in (ms, cur, mu, best, best_val, iterations, restarts, trial):
-                    arr[slot] = arr[live]
-        mu = mu[:live]
+        live = ~finished
+        ms, cur, mu, best, best_val, iterations, restarts, trial = (
+            arr[live] for arr in (ms, cur, mu, best, best_val, iterations, restarts, trial))
     return results
 
 
@@ -236,10 +218,10 @@ def estimate_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
     matrices; one IterationResult per slice, whose frame is a member of cset.
 
     Iterative projection runs the slices as one block
-    (iterative_projection_batch, which takes ms over as working memory).
-    Spectral truncation is one stacked eigh and projection, and exhaustive
-    search runs slice by slice.  Neither takes power steps: they report 0
-    iterations, converged, and the objective value of their frame.
+    (iterative_projection_batch).  Spectral truncation is one stacked eigh
+    and projection, and exhaustive search runs slice by slice.  Neither
+    takes power steps: they report 0 iterations, converged, and the
+    objective value of their frame.  ms is never written.
     """
     if config is None:
         config = EstimatorConfig()
@@ -260,7 +242,7 @@ def estimate_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
 def estimate(m: np.ndarray, cset: constraints.ConstraintSet,
              config: EstimatorConfig | None = None) -> IterationResult:
     """estimate_batch on one objective matrix."""
-    m = np.array(m, dtype=float)
+    m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise DimensionMismatch(f"need a square matrix, got shape {m.shape}")
     return estimate_batch(m[None], cset, config)[0]

@@ -11,9 +11,10 @@ match reads exactly 0 and the distance is exactly symmetric.  The power step
 in estimators tests convergence with the O(p r^2) residual form on the right.
 Neither uses the Gram identity in the middle: it subtracts ||U1' U2||_F^2
 from r and so cannot resolve a distance below about 1e-8, the default
-convergence tolerance.  The greedy nets in entropy do use it between
-members, at radii far above that floor; their tangent norms use the residual
-form, whose skip rule must see a draw equal to the center as near zero.
+convergence tolerance.  The greedy nets and local packings in entropy do
+use it between members: their radii and alpha * eps separations sit far
+above that floor.  Tangent norms use the residual form, whose skip rule must
+see a draw equal to the center as near zero.
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ class OrthonormalFrame:
     @property
     def r(self) -> int:
         return self.values.shape[1]
-
-    def copy(self) -> "OrthonormalFrame":
-        return OrthonormalFrame(self.values.copy())
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,8 @@ class ModelSpec:
                 raise DimensionMismatch("rank exceeds the frame dimension")
             if self.family == CLUSTERING and self.rank != 1:
                 raise ValueError("clustering is a rank-one family")
+            if self.family == WISHART and self.n < 2:
+                raise ValueError("wishart needs n >= 2 rows for a sample covariance")
         else:  # wigner
             if not self.p:
                 raise DimensionMismatch("wigner needs p")

@@ -307,6 +307,16 @@ def test_estimate_non_finite_observation_exit_three(tmp_path, capsys):
     assert not (tmp_path / "est").exists()
 
 
+def test_wishart_with_fewer_than_two_rows_exit_two(tmp_path, capsys):
+    base = ["--family", "wishart", "--n", "1", "--p", "6", "--r", "1", "--t", "3",
+            "--sigma", "1", "--constraint", "none"]
+    for command, extra in (("risk", ["--trials", "2"]), ("simulate", [])):
+        out = tmp_path / command
+        assert main([command, *base, *extra, "--out", str(out)]) == 2, command
+        assert not out.exists(), command
+        assert "n >= 2" in capsys.readouterr().err, command
+
+
 def test_oracle_fewer_than_one_trial_exit_two(tmp_path, capsys):
     for trials in ("0", "-3"):
         out = tmp_path / f"oracle{trials}"

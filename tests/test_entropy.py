@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,65 @@ def test_greedy_local_packing_vacuous_separation_admits_all():
     center = constraints.random_member(cset, 0)
     pack = greedy_local_packing(cset, center, 1.5, 1e-6, budget=300, seed=1)
     assert len(pack.members) >= 300
+
+
+def _greedy_local_packing_reference(cset, center, epsilon, alpha, budget, seed):
+    """The packing as a sequential loop: one draw at a time, kept when inside
+    the ball and farther than alpha * epsilon from every member so far."""
+    rng = constraints.as_generator(seed)
+    members = [center]
+    threshold = alpha * epsilon
+    for _ in range(budget):
+        cand = constraints.random_member(cset, rng)
+        if subspace_distance(cand, center) > epsilon:
+            continue
+        if all(subspace_distance(cand, m) > threshold for m in members):
+            members.append(cand)
+    return members
+
+
+@pytest.mark.parametrize("text, p, r, epsilon, alpha, budget, size", [
+    ("sparse:k=4", 16, 1, 1.0, 0.5, 400, 6),
+    ("sparse:k=5", 20, 2, 1.7, 0.6, 400, 45),
+    ("none", 4, 1, 0.8, 0.5, 400, 13),
+    ("none", 6, 1, 0.8, 0.5, 400, 9),
+    ("none", 8, 1, 0.8, 0.5, 400, 3),
+    ("none", 5, 2, 1.0, 0.5, 400, 9),
+    ("nonneg", 10, 2, 1.3, 0.5, 400, 20),
+    ("nonneg", 64, 2, 1.6, 0.5, 400, 17),
+    ("signs", 6, 1, 1.4, 0.5, 400, 22),
+    ("signs", 12, 1, 1.2, 0.5, 400, 17),
+    # every draw admitted, and a ball that holds only the center
+    ("none", 4, 1, 1.5, 1e-6, 300, 301),
+    ("sparse:k=4", 16, 1, 1e-12, 0.5, 400, 1),
+])
+def test_greedy_local_packing_matches_sequential_reference(text, p, r, epsilon,
+                                                           alpha, budget, size):
+    # block draws, Gram-form rows and the shared net engine admit the same
+    # draws, in the same order, as the one-at-a-time projector-form loop
+    cset = constraints.parse_constraint(text, p, r)
+    center = constraints.random_member(cset, 11)
+    want = _greedy_local_packing_reference(cset, center, epsilon, alpha, budget, 2)
+    pack = greedy_local_packing(cset, center, epsilon, alpha, budget=budget, seed=2)
+    assert len(pack.members) == len(want) == size
+    assert pack.members[0] is center
+    for got, ref in zip(pack.members, want):
+        assert np.array_equal(got.values, ref.values)
+
+
+def test_covering_estimate_peak_memory_below_three_member_stacks():
+    # draws are projected in bounded blocks, so the peak stays near the
+    # (budget, r, p) member stack the net itself needs
+    cset = constraints.nonneg(64, 2)
+    budget = 4000
+    stack_bytes = budget * 64 * 2 * 8
+    tracemalloc.start()
+    try:
+        covering_number_estimate(cset, 1.5, budget=budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * stack_bytes, peak / stack_bytes
 
 
 def test_covering_estimate_degenerate_cases():

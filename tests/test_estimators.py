@@ -285,6 +285,17 @@ def test_engine_blocks_match_reference_loop_bit_for_bit():
     assert ("restart", frozenset({True})) in mixed
 
 
+def test_estimate_batch_leaves_input_stack_untouched():
+    # the fast companions leave the block around the slow loop in slot 1;
+    # the restart case also swaps in a random member
+    for name, m, cset, knobs in _equivalence_cases():
+        stack = np.stack([_spiked(m, cset, 1), m, _spiked(m, cset, 2)])
+        before = stack.copy()
+        for method in ("iterative", "spectral"):
+            estimators.estimate_batch(stack, cset, EstimatorConfig(method=method, **knobs))
+            assert stack.tobytes() == before.tobytes(), (name, method)
+
+
 def test_engine_empty_block_and_shape_guard():
     cset = constraints.unconstrained(4, 1)
     assert iterative_projection_batch(np.empty((0, 4, 4)), cset) == []

@@ -35,6 +35,15 @@ def test_model_spec_validation():
                             spectrum=SpectrumSpec.flat(3.0, 2), noise_sd=1.0,
                             seed=0, n=30, p=6)
     assert spec.frame_dim == 6
+    # a sample covariance needs two rows
+    for n in (1, -4):
+        with pytest.raises(ValueError):
+            models.ModelSpec(family="wishart", rank=1,
+                             spectrum=SpectrumSpec.flat(3.0, 1), noise_sd=1.0,
+                             seed=0, n=n, p=6)
+    assert models.ModelSpec(family="wishart", rank=1,
+                            spectrum=SpectrumSpec.flat(3.0, 1), noise_sd=1.0,
+                            seed=0, n=2, p=6).n == 2
 
 
 def test_denoising_noiseless_recovers_truth():

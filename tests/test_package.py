@@ -1,3 +1,4 @@
+import ast
 import pathlib
 
 import subspace_est
@@ -20,3 +21,22 @@ def test_only_models_branches_on_family():
         if path.name != "models.py" and ("family ==" in text or "family in (" in text):
             offenders.append(path.name)
     assert not offenders
+
+
+def _calls(node, names):
+    """Names of the calls below node of a function in names."""
+    callees = (getattr(n.func, "attr", None) or getattr(n.func, "id", None)
+               for n in ast.walk(node) if isinstance(n, ast.Call))
+    return sorted(name for name in callees if name in names)
+
+
+def test_entropy_has_one_draw_path():
+    # nets and packings draw through one block generator and compare by
+    # stacked rows; only PackingSet.validate checks pairs one by one
+    package = pathlib.Path(subspace_est.__file__).parent
+    tree = ast.parse((package / "entropy.py").read_text())
+    validate = next(n for n in ast.walk(tree)
+                    if isinstance(n, ast.FunctionDef) and n.name == "validate")
+    per_member = {"random_member", "subspace_distance"}
+    assert _calls(tree, per_member) == _calls(validate, per_member)
+    assert _calls(tree, {"random_members"}) == ["random_members"]
