@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Each subcommand reads an optional plain-text config file (key=value lines,
-"#" comments), lets flags override file values, writes its outputs plus a
-fully resolved <command>_config.txt into the output directory, and is
-deterministic given that resolved config.  Exit codes: 0 success, 2 usage
+"#" comments) and lets flags override file values.  Its handler computes
+from that resolved config alone and returns its outputs by file name; main
+writes them into the output directory, then the resolved config as
+<command>_config.txt, and only once the handler has succeeded, so a failing
+command leaves the output directory untouched.  Every command is
+deterministic given its resolved config.  Exit codes: 0 success, 2 usage
 error, 3 I/O failure, 4 numerical failure.
 """
 
@@ -152,24 +155,28 @@ def _format_config_value(value) -> str:
     return str(value)
 
 
-def _write_resolved(command: str, out_dir: str, resolved: dict) -> None:
-    lines = [f"{key}={_format_config_value(value)}\n"
-             for key, value in sorted(resolved.items()) if value is not None]
-    with open(os.path.join(out_dir, f"{command}_config.txt"), "w") as fh:
-        fh.writelines(lines)
-
-
-def _ensure_out_dir(path: str) -> None:
+def _write_outputs(command: str, resolved: dict, outputs: dict) -> None:
+    """Write each output into resolved["out"] in order, by its type: an array
+    as a matrix file, a dict as JSON, the sweep's rows as CSV; then the
+    resolved config."""
+    out_dir = resolved["out"]
     try:
-        os.makedirs(path, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
-        raise _FileError(f"cannot create output directory {path}: {exc}")
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        raise _FileError(f"cannot create output directory {out_dir}: {exc}")
+    for name, value in outputs.items():
+        path = os.path.join(out_dir, name)
+        if isinstance(value, np.ndarray):
+            write_matrix(path, value)
+        elif isinstance(value, dict):
+            with open(path, "w") as fh:
+                json.dump(value, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        else:
+            harness.write_sweep_csv(path, value)
+    with open(os.path.join(out_dir, f"{command}_config.txt"), "w") as fh:
+        fh.writelines(f"{key}={_format_config_value(value)}\n"
+                      for key, value in sorted(resolved.items()) if value is not None)
 
 
 def _build_model(resolved: dict, rank: int, t: float) -> models.ModelSpec:
@@ -185,19 +192,13 @@ def _estimator_config(resolved: dict) -> estimators.EstimatorConfig:
     return estimators.EstimatorConfig(**{key: resolved[key] for key in _ESTIMATOR_KEYS})
 
 
-def _cmd_simulate(args) -> int:
-    resolved = _resolve("simulate", args)
+def _cmd_simulate(resolved: dict) -> dict:
     model = _build_model(resolved, resolved["r"], resolved["t"])
     cset = constraints.parse_constraint(resolved["constraint"], model.frame_dim, model.rank)
     instance = models.sample_instance(model, cset)
-    out_dir = resolved["out"]
-    _ensure_out_dir(out_dir)
-    write_matrix(os.path.join(out_dir, "Y.csv"), instance.observation)
-    write_matrix(os.path.join(out_dir, "U_truth.csv"), instance.truth_left.values)
-    write_matrix(os.path.join(out_dir, "spectrum.csv"),
-                 instance.truth_spectrum.array[:, None])
-    _write_resolved("simulate", out_dir, resolved)
-    return 0
+    return {"Y.csv": instance.observation,
+            "U_truth.csv": instance.truth_left.values,
+            "spectrum.csv": instance.truth_spectrum.array[:, None]}
 
 
 def _read_matrix_checked(path: str) -> np.ndarray:
@@ -209,29 +210,23 @@ def _read_matrix_checked(path: str) -> np.ndarray:
         raise _FileError(f"malformed matrix file {path}: {exc}")
 
 
-def _cmd_estimate(args) -> int:
-    resolved = _resolve("estimate", args)
+def _cmd_estimate(resolved: dict) -> dict:
     in_dir = resolved["in"]
     if not os.path.isdir(in_dir):
         raise _FileError(f"input directory {in_dir} does not exist")
-    stored = {}
+    resolved["out"] = resolved["out"] or in_dir
     stored_path = os.path.join(in_dir, "simulate_config.txt")
-    if os.path.exists(stored_path):
-        stored = _load_config_file(stored_path)
-    for key in ("family", "constraint"):
-        if resolved[key] is None and key in stored:
-            resolved[key] = stored[key]
-    if resolved["r"] is None and "r" in stored:
-        resolved["r"] = int(stored["r"])
+    stored = _load_config_file(stored_path) if os.path.exists(stored_path) else {}
     for key in ("family", "r", "constraint"):
         if resolved[key] is None:
-            raise _UsageError(f"--{key} not given and absent from {stored_path}")
+            if key not in stored:
+                raise _UsageError(f"--{key} not given and absent from {stored_path}")
+            resolved[key] = _convert(key, _KEYSPECS["estimate"][key][0], stored[key])
     observation = _read_matrix_checked(os.path.join(in_dir, "Y.csv"))
     if resolved["family"] not in models.FAMILIES:
         raise _UsageError(f"unknown family {resolved['family']!r}")
     m = models.objective_matrix(resolved["family"], observation)
-    cset = constraints.parse_constraint(resolved["constraint"], m.shape[0],
-                                        int(resolved["r"]))
+    cset = constraints.parse_constraint(resolved["constraint"], m.shape[0], resolved["r"])
     result = estimators.estimate(m, cset, _estimator_config(resolved))
     d_to_truth = None
     truth_path = os.path.join(in_dir, "U_truth.csv")
@@ -240,31 +235,21 @@ def _cmd_estimate(args) -> int:
         # an estimate at another rank than the truth has no distance to it
         if truth.shape == result.frame.values.shape:
             d_to_truth = subspace_distance(result.frame, truth)
-    out_dir = resolved["out"] or in_dir
-    resolved["out"] = out_dir
-    _ensure_out_dir(out_dir)
-    write_matrix(os.path.join(out_dir, "U_hat.csv"), result.frame.values)
-    _write_json(os.path.join(out_dir, "report.json"), {
-        "converged": result.converged, "d_to_truth": d_to_truth,
-        "iterations": result.iterations, "objective": result.objective})
-    _write_resolved("estimate", out_dir, resolved)
-    return 0
+    return {"U_hat.csv": result.frame.values,
+            "report.json": {"converged": result.converged, "d_to_truth": d_to_truth,
+                            "iterations": result.iterations,
+                            "objective": result.objective}}
 
 
-def _cmd_risk(args) -> int:
-    resolved = _resolve("risk", args)
+def _cmd_risk(resolved: dict) -> dict:
     model = _build_model(resolved, resolved["r"], resolved["t"])
     cset = constraints.parse_constraint(resolved["constraint"], model.frame_dim, model.rank)
     config = _estimator_config(resolved)
     estimate = harness.monte_carlo_risk(model, cset, config, resolved["trials"])
-    out_dir = resolved["out"]
-    _ensure_out_dir(out_dir)
-    _write_json(os.path.join(out_dir, "risk.json"), {
+    return {"risk.json": {
         "mean_d": estimate.mean_distance, "seed": estimate.seed,
         "spec_digest": estimate.spec_digest, "stderr": estimate.stderr,
-        "trials": estimate.trials})
-    _write_resolved("risk", out_dir, resolved)
-    return 0
+        "trials": estimate.trials}}
 
 
 def _sweep_grid(resolved: dict) -> list:
@@ -278,8 +263,7 @@ def _sweep_grid(resolved: dict) -> list:
     return [dict(combo) for combo in itertools.product(*axes)]
 
 
-def _cmd_sweep(args) -> int:
-    resolved = _resolve("sweep", args)
+def _cmd_sweep(resolved: dict) -> dict:
     grid = _sweep_grid(resolved)
     base_t = resolved["t"] if resolved["t"] is not None else grid[0].get("t")
     if base_t is None:
@@ -288,24 +272,20 @@ def _cmd_sweep(args) -> int:
     cset = constraints.parse_constraint(resolved["constraint"], model.frame_dim, model.rank)
     config = _estimator_config(resolved)
     rows = harness.sweep(grid, model, cset, config, resolved["trials"])
-    out_dir = resolved["out"]
-    _ensure_out_dir(out_dir)
-    harness.write_sweep_csv(os.path.join(out_dir, "sweep.csv"), rows)
+    outputs = {"sweep.csv": rows}
     try:
         fit = harness.detect_phase_transition(rows)
-        _write_json(os.path.join(out_dir, "fits.json"), {
+        outputs["fits.json"] = {
             "r_squared_high": fit.r_squared_high,
             "r_squared_low": fit.r_squared_low,
             "slope_high": fit.slope_high, "slope_low": fit.slope_low,
-            "t_break": fit.t_break})
+            "t_break": fit.t_break}
     except DegenerateInput:
         pass
-    _write_resolved("sweep", out_dir, resolved)
-    return 0
+    return outputs
 
 
-def _cmd_entropy(args) -> int:
-    resolved = _resolve("entropy", args)
+def _cmd_entropy(resolved: dict) -> dict:
     cset = constraints.parse_constraint(resolved["constraint"], resolved["p"],
                                         resolved["r"])
     center = constraints.random_member(cset, resolved["seed"])
@@ -314,21 +294,16 @@ def _cmd_entropy(args) -> int:
     estimate = entropy.dudley_estimate(cset, center, epsilon_grid=grid,
                                        budget=resolved["budget"],
                                        seed=resolved["seed"] + 1)
-    out_dir = resolved["out"]
-    _ensure_out_dir(out_dir)
-    _write_json(os.path.join(out_dir, "entropy.json"), {
+    return {"entropy.json": {
         "dudley": estimate.dudley_value, "dudley_prime": estimate.dudley_prime,
         "epsilons": list(estimate.epsilons),
         "log_cover": list(estimate.log_covering),
         "unresolved": list(estimate.unresolved),
         "unresolved_share": dict(zip(("dudley", "dudley_prime"),
-                                     estimate.unresolved_share))})
-    _write_resolved("entropy", out_dir, resolved)
-    return 0
+                                     estimate.unresolved_share))}}
 
 
-def _cmd_oracle(args) -> int:
-    resolved = _resolve("oracle", args)
+def _cmd_oracle(resolved: dict) -> dict:
     trials = resolved["trials"]
     if trials < 1:
         raise ValueError(f"oracle needs at least 1 trial, got {trials}")
@@ -346,13 +321,9 @@ def _cmd_oracle(args) -> int:
             agree += 1
         gaps.append(subspace_distance(iterate.frame, truth)
                     - subspace_distance(exact.frame, truth))
-    out_dir = resolved["out"]
-    _ensure_out_dir(out_dir)
-    _write_json(os.path.join(out_dir, "oracle.json"), {
+    return {"oracle.json": {
         "agree_count": agree, "mean_d_gap": float(np.mean(gaps)),
-        "trials": trials})
-    _write_resolved("oracle", out_dir, resolved)
-    return 0
+        "trials": trials}}
 
 
 _HANDLERS = {
@@ -381,9 +352,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler = _HANDLERS[args.command]
+    command = args.command
     try:
-        return handler(args)
+        resolved = _resolve(command, args)
+        _write_outputs(command, resolved, _HANDLERS[command](resolved))
+        return 0
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -225,9 +225,13 @@ def greedy_local_packing(cset: constraints.ConstraintSet, center: OrthonormalFra
     whenever it is farther than alpha * epsilon from everything admitted so
     far.  The center seeds the packing, so a single-element set means no
     candidate survived.  The count is a lower estimate of the packing number.
+    Raises ValueError unless epsilon is finite and positive and budget is at
+    least 1.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    _check_scales(epsilon)
+    _check_budget(budget)
     threshold = alpha * epsilon
     u = center.values
     # the center is row 0 whatever its rounded self-distance reads
@@ -248,6 +252,13 @@ def greedy_local_packing(cset: constraints.ConstraintSet, center: OrthonormalFra
 def _check_budget(budget) -> None:
     if budget < 1:
         raise ValueError(f"budget must be at least 1 draw, got {budget}")
+
+
+def _check_scales(scales) -> None:
+    """Raise ValueError unless every scale is finite and positive."""
+    for eps in np.atleast_1d(scales):
+        if not 0.0 < eps < math.inf:
+            raise ValueError(f"need a finite positive epsilon, got {eps}")
 
 
 def _greedy_net_counts(grid, size: int, rows) -> tuple:
@@ -315,10 +326,10 @@ def covering_number_estimate(cset: constraints.ConstraintSet, epsilon: float,
 
     Members are drawn from one seeded stream and compared in the projector
     metric; a draw becomes a new net center whenever it is at least epsilon
-    away from all current centers.  Raises ValueError unless epsilon > 0.
+    away from all current centers.  Raises ValueError unless epsilon is finite
+    and positive and budget is at least 1.
     """
-    if not epsilon > 0:
-        raise ValueError(f"need a positive epsilon, got {epsilon}")
+    _check_scales(epsilon)
     _check_budget(budget)
     members = np.concatenate(list(_draw_blocks(cset, constraints.as_generator(seed), budget)))
     counts, _ = _greedy_net_counts(
@@ -377,13 +388,16 @@ def dudley_estimate(cset: constraints.ConstraintSet, center: OrthonormalFrame,
     in epsilon.  Both integrals use the trapezoid rule on the grid; a
     singleton tangent set (or none at all) gives zero.  A scale whose net
     takes every drawn tangent element is flagged unresolved, and the
-    estimate reports what share of each integral those scales carry.
+    estimate reports what share of each integral those scales carry.  Raises
+    ValueError unless the grid has two or more scales, each finite and
+    positive, and budget is at least 1.
     """
     if epsilon_grid is None:
         epsilon_grid = np.geomspace(0.01, math.sqrt(2.0), 24)
     grid = np.asarray(sorted(float(e) for e in epsilon_grid))
-    if grid.size < 2 or grid[0] <= 0:
+    if grid.size < 2:
         raise ValueError("need an increasing positive epsilon grid")
+    _check_scales(grid)
     _check_budget(budget)
     rng = constraints.as_generator(seed)
     drawn = _draw_tangent_stack(cset, center, budget, rng)

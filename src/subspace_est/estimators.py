@@ -7,7 +7,8 @@ builds M from an observation of each family.  They run on a (B, p, p) stack
 of objective matrices: the spectral step (the iteration's default init and
 the spectral method) is one stacked eigh and one stacked projection, and the
 power steps run as one block.  spectral_estimate and estimate are the
-one-slice cases.  Each result carries the best objective value it visited.
+one-slice cases; they accept any square matrix and use its symmetric part.
+Each result carries the best objective value it visited.
 """
 
 from __future__ import annotations
@@ -70,23 +71,30 @@ def objective(frame: OrthonormalFrame, m: np.ndarray) -> float:
 
 
 def _top_eigenvectors(ms: np.ndarray, rank: int) -> np.ndarray:
-    """Top-rank eigenvectors of every symmetrized slice of a (B, p, p) stack,
-    as a (B, p, rank) stack, in a stable order for tied eigenvalues and with
-    each column's largest-magnitude entry made positive."""
-    evals, evecs = np.linalg.eigh((ms + ms.transpose(0, 2, 1)) / 2.0)
+    """Top-rank eigenvectors of every slice of a (B, p, p) stack of symmetric
+    matrices, as a (B, p, rank) stack, in a stable order for tied eigenvalues
+    and with each column's largest-magnitude entry made positive."""
+    evals, evecs = np.linalg.eigh(ms)
     order = np.argsort(-evals, axis=1, kind="stable")[:, None, :rank]
     cols = np.take_along_axis(evecs, order, axis=2)
     lead = np.take_along_axis(cols, np.argmax(np.abs(cols), axis=1)[:, None, :], axis=1)
     return np.where(lead < 0, -cols, cols)
 
 
-def spectral_estimate(m: np.ndarray, rank: int) -> OrthonormalFrame:
-    """Top-rank eigenvectors of a symmetric matrix, with a deterministic sign
-    convention (largest-magnitude entry of each column made positive) and a
-    stable order for tied eigenvalues."""
+def _symmetric(m) -> np.ndarray:
+    """(M + M') / 2 of a square matrix, which is M itself when M is
+    symmetric."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"need a square matrix, got shape {m.shape}")
+    return (m + m.T) / 2.0
+
+
+def spectral_estimate(m: np.ndarray, rank: int) -> OrthonormalFrame:
+    """Top-rank eigenvectors of the symmetric part of a square matrix, with a
+    deterministic sign convention (largest-magnitude entry of each column
+    made positive) and a stable order for tied eigenvalues."""
+    m = _symmetric(m)
     if rank > m.shape[0]:
         raise DimensionMismatch("rank exceeds matrix size")
     return OrthonormalFrame(_top_eigenvectors(m[None], rank)[0])
@@ -241,8 +249,5 @@ def estimate_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
 
 def estimate(m: np.ndarray, cset: constraints.ConstraintSet,
              config: EstimatorConfig | None = None) -> IterationResult:
-    """estimate_batch on one objective matrix."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"need a square matrix, got shape {m.shape}")
-    return estimate_batch(m[None], cset, config)[0]
+    """estimate_batch on the symmetric part of one square objective matrix."""
+    return estimate_batch(_symmetric(m)[None], cset, config)[0]

@@ -64,8 +64,8 @@ class OrthonormalFrame:
 class SpectrumSpec:
     """Ordered signal singular values with a scale t and conditioning bound L.
 
-    Invariants: values[0] >= ... >= values[-1] > 0, L > 1, and the whole
-    spectrum lives in [t / L, L t].
+    Invariants: the values and t are finite, values[0] >= ... >= values[-1]
+    > 0, L > 1, and the whole spectrum lives in [t / L, L t].
     """
 
     values: tuple
@@ -78,6 +78,8 @@ class SpectrumSpec:
         t, big_l = self.scale, self.conditioning
         if len(vals) == 0:
             raise DimensionMismatch("spectrum must have at least one value")
+        if not all(math.isfinite(v) for v in (*vals, t)):
+            raise ValueError("spectrum values and scale must be finite")
         if any(b > a for a, b in zip(vals, vals[1:])):
             raise ValueError("spectrum values must be non-increasing")
         if vals[-1] <= 0:

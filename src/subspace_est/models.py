@@ -61,6 +61,8 @@ class ModelSpec:
             raise DimensionMismatch("spectrum length must equal rank")
         if not self.noise_sd > 0:
             raise ValueError("noise_sd must be positive")
+        if not math.isfinite(self.noise_sd):
+            raise ValueError("noise_sd must be finite")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         if self.family == DENOISING:

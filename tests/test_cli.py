@@ -231,6 +231,7 @@ def test_entropy_budget_below_one_exit_two(tmp_path):
                 "--budget", budget, "--out", str(out)]
         assert main(argv) == 2
         assert not (out / "entropy.json").exists()
+        assert not out.exists()
 
 
 _REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference.json")
@@ -317,6 +318,25 @@ def test_wishart_with_fewer_than_two_rows_exit_two(tmp_path, capsys):
         assert "n >= 2" in capsys.readouterr().err, command
 
 
+def test_non_finite_scale_noise_or_epsilon_exit_two(tmp_path, capsys):
+    model = ["--family", "wigner", "--p", "6", "--r", "1", "--constraint", "none"]
+    cases = [
+        ["simulate", *model, "--t", "nan", "--sigma", "1"],
+        ["simulate", *model, "--t", "inf", "--sigma", "1"],
+        ["risk", *model, "--t", "nan", "--sigma", "1", "--trials", "2"],
+        ["risk", *model, "--t", "inf", "--sigma", "1", "--trials", "2"],
+        ["risk", *model, "--t", "4", "--sigma", "inf", "--trials", "2"],
+        ["sweep", *model, "--t-grid", "2,nan", "--trials", "2"],
+        ["entropy", "--constraint", "nonneg", "--p", "8", "--r", "2",
+         "--eps-max", "nan"],
+    ]
+    for index, argv in enumerate(cases):
+        out = tmp_path / f"out{index}"
+        assert main([*argv, "--out", str(out)]) == 2, argv
+        assert not out.exists(), argv
+        assert "ValueError" in capsys.readouterr().err, argv
+
+
 def test_oracle_fewer_than_one_trial_exit_two(tmp_path, capsys):
     for trials in ("0", "-3"):
         out = tmp_path / f"oracle{trials}"
@@ -324,6 +344,7 @@ def test_oracle_fewer_than_one_trial_exit_two(tmp_path, capsys):
                 "--trials", trials, "--out", str(out)]
         assert main(argv) == 2, trials
         assert not (out / "oracle.json").exists()
+        assert not out.exists()
         assert "at least 1 trial" in capsys.readouterr().err
 
 

@@ -208,11 +208,30 @@ def test_covering_estimate_degenerate_cases():
         assert covering_number_estimate(singleton, eps, budget=100, seed=0) == 1
 
 
-def test_covering_estimate_rejects_non_positive_epsilon():
-    singleton = constraints.signs(1)
-    for eps in (0.0, -1.0, math.nan):
+_SINGLETON = constraints.signs(1)
+_SINGLETON_CENTER = constraints.random_member(_SINGLETON, 0)
+
+# each entropy count, called at one scale epsilon and a budget
+_COUNTS = {
+    "covering_number_estimate": lambda eps, budget: covering_number_estimate(
+        _SINGLETON, eps, budget=budget, seed=0),
+    "greedy_local_packing": lambda eps, budget: greedy_local_packing(
+        _SINGLETON, _SINGLETON_CENTER, eps, 0.5, budget=budget, seed=0),
+    "dudley_estimate": lambda eps, budget: dudley_estimate(
+        _SINGLETON, _SINGLETON_CENTER, epsilon_grid=[eps, 1.0], budget=budget, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTS))
+def test_covering_estimate_rejects_non_positive_epsilon(name):
+    count = _COUNTS[name]
+    for eps in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            covering_number_estimate(singleton, eps, budget=50, seed=0)
+            count(eps, 50)
+    for budget in (0, -3):
+        with pytest.raises(ValueError):
+            count(0.5, budget)
+    count(0.5, 1)
 
 
 def test_covering_estimate_monotone_in_epsilon():

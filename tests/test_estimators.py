@@ -19,9 +19,13 @@ def _haar(p, r, seed):
 
 
 def test_spectral_estimate_known_matrix():
-    got = spectral_estimate(np.diag([5.0, 3.0, 1.0]), 2)
-    assert np.array_equal(np.abs(got.values), np.eye(3)[:, :2])
-    assert got.values[0, 0] == 1.0 and got.values[1, 1] == 1.0
+    # the second input is not symmetric; its symmetric part is the first
+    skewed = np.diag([5.0, 3.0, 1.0])
+    skewed[2, 0], skewed[0, 2] = 0.75, -0.75
+    for m in (np.diag([5.0, 3.0, 1.0]), skewed):
+        got = spectral_estimate(m, 2)
+        assert np.array_equal(np.abs(got.values), np.eye(3)[:, :2])
+        assert got.values[0, 0] == 1.0 and got.values[1, 1] == 1.0
 
 
 def test_spectral_estimate_sign_convention():

@@ -77,6 +77,14 @@ def test_spectrum_spec_validation():
         SpectrumSpec(values=(2.5, 4.0), scale=3.0)  # increasing
     with pytest.raises(ValueError):
         SpectrumSpec(values=(40.0, 2.5), scale=3.0)  # outside [t/L, Lt]
+    # a non-finite value or scale passes every order test, so it is named
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SpectrumSpec(values=(4.0, bad), scale=3.0)
+        with pytest.raises(ValueError):
+            SpectrumSpec(values=(bad, bad), scale=bad)
+        with pytest.raises(ValueError):
+            SpectrumSpec.flat(bad, 2)
     flat = SpectrumSpec.flat(5.0, 3)
     assert flat.values == (5.0, 5.0, 5.0)
 

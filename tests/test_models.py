@@ -44,6 +44,11 @@ def test_model_spec_validation():
     assert models.ModelSpec(family="wishart", rank=1,
                             spectrum=SpectrumSpec.flat(3.0, 1), noise_sd=1.0,
                             seed=0, n=2, p=6).n == 2
+    for sd in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            models.ModelSpec(family="wigner", rank=1,
+                             spectrum=SpectrumSpec.flat(3.0, 1), noise_sd=sd,
+                             seed=0, p=6)
 
 
 def test_denoising_noiseless_recovers_truth():

@@ -30,6 +30,18 @@ def _calls(node, names):
     return sorted(name for name in callees if name in names)
 
 
+def test_cli_handlers_write_nothing():
+    # handlers return their outputs; main alone writes them into --out
+    package = pathlib.Path(subspace_est.__file__).parent
+    tree = ast.parse((package / "cli.py").read_text())
+    handlers = [n for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef) and n.name.startswith("_cmd_")]
+    assert len(handlers) == 6
+    writers = {"open", "makedirs", "write_matrix", "write_sweep_csv", "dump"}
+    assert {n.name: _calls(n, writers) for n in handlers} == {
+        n.name: [] for n in handlers}
+
+
 def test_entropy_has_one_draw_path():
     # nets and packings draw through one block generator and compare by
     # stacked rows; only PackingSet.validate checks pairs one by one
