@@ -286,6 +286,9 @@ def _cmd_sweep(resolved: dict) -> dict:
 
 
 def _cmd_entropy(resolved: dict) -> dict:
+    bounds = (resolved["eps_min"], resolved["eps_max"])
+    if not all(0.0 < eps < math.inf for eps in bounds):
+        raise ValueError(f"eps_min and eps_max must be finite and positive, got {bounds}")
     cset = constraints.parse_constraint(resolved["constraint"], resolved["p"],
                                         resolved["r"])
     center = constraints.random_member(cset, resolved["seed"])

@@ -14,12 +14,12 @@ constraint set looks from U.  Greedy nets cannot count past the number of
 draws, so each entropy estimate flags the scales where its net took every
 draw.  Nets and local packings share one draw path and one greedy loop:
 members come from one seeded stream in bounded blocks
-(constraints.random_members, bit for bit as one draw at a time), each
-distance row is one GEMM on the row matrix of the transposed draws, and a
-packing is the greedy net of the in-ball draws at the separation.  Member
-distances take the Gram form and tangent norms the residual form; both agree
-with per-pair products to rounding, and golden tests pin the counts they
-give.
+(constraints.random_members, bit for bit as one draw at a time), the
+distance rows of a block of candidate centers are one GEMM of their rows
+against the row matrix of the transposed draws, and a packing is the greedy
+net of the in-ball draws at the separation.  Member distances take the Gram
+form and tangent norms the residual form; both agree with per-pair products
+to rounding, and golden tests pin the counts they give.
 """
 
 from __future__ import annotations
@@ -39,6 +39,11 @@ _SLACK = 1e-9
 # members are drawn in blocks of at most _DRAW_BYTES of p x r frames; larger
 # blocks buy little speed and cost peak memory
 _DRAW_BYTES = 1 << 17
+
+# a greedy net computes the distance rows of its candidate centers in blocks
+# of at most _ROW_BYTES of cross products: one GEMM per block reads the row
+# matrix once for all of them, and a wider block costs peak memory
+_ROW_BYTES = 1 << 20
 
 
 @dataclass
@@ -233,17 +238,17 @@ def greedy_local_packing(cset: constraints.ConstraintSet, center: OrthonormalFra
     _check_scales(epsilon)
     _check_budget(budget)
     threshold = alpha * epsilon
-    u = center.values
+    u = _transposed(center.values[None])
     # the center is row 0 whatever its rounded self-distance reads
-    inside = [_transposed(u[None])]
+    inside = [u]
     for block in _draw_blocks(cset, constraints.as_generator(seed), budget):
-        inside.append(block[_gram_distances(block, u) <= epsilon])
+        inside.append(block[_gram_distances(block, u)[0] <= epsilon])
     points = np.concatenate(inside)
     # a net at the next float above alpha * epsilon admits exactly the
     # points farther than alpha * epsilon from every earlier admission
     _, admitted = _greedy_net_counts(
-        [np.nextafter(threshold, np.inf)], len(points),
-        lambda j: _gram_distances(points, points[j].T))
+        [np.nextafter(threshold, np.inf)], points,
+        lambda idx: _gram_distances(points, points[idx]))
     members = [center] + [OrthonormalFrame(w.T) for w in points[1:][admitted[1:]]]
     return PackingSet(center=center, radius=epsilon, separation=threshold,
                       members=members, alpha=alpha)
@@ -261,28 +266,39 @@ def _check_scales(scales) -> None:
             raise ValueError(f"need a finite positive epsilon, got {eps}")
 
 
-def _greedy_net_counts(grid, size: int, rows) -> tuple:
-    """Nested greedy net sizes over size points, one per scale in grid, and
-    the center mask of the net at the finest scale.
+def _greedy_net_counts(grid, members, rows) -> tuple:
+    """Nested greedy net sizes over a (n, r, p) stack of transposed member
+    frames, one per scale in grid, and the center mask of the net at the
+    finest scale.
 
-    rows(j) returns the distances from point j to every point.  The grid is
-    swept from its largest scale down and each net grows out of the previous
-    one: the first point at least eps from every center becomes a center,
-    which in draw order is the sequential greedy net.  Counts are therefore
-    non-increasing in epsilon by construction.
+    rows(idx) returns the distances from each point of the index array idx
+    to every point, as a (len(idx), n) array.  The grid is swept from its
+    largest scale down and each net grows out of the previous one: the first
+    point at least eps from every center becomes a center, which in draw
+    order is the sequential greedy net.  Counts are therefore non-increasing
+    in epsilon by construction.
+
+    Candidates are taken in blocks of the next eligible points, their rows
+    in one call, and admitted in order while still eligible after the
+    earlier admissions of the block.  Within a scale distances to the
+    centers only fall, so a point skipped once stays ineligible, and the
+    blocks admit exactly the centers one point at a time would.
     """
+    size, r, _ = members.shape
+    block = max(1, _ROW_BYTES // (8 * size * r * r))
     min_dist = np.full(size, np.inf)
     is_center = np.zeros(size, dtype=bool)
     counts = np.zeros(len(grid), dtype=np.int64)
     for level in range(len(grid) - 1, -1, -1):
         eps = grid[level]
         while True:
-            eligible = np.nonzero(~is_center & (min_dist >= eps))[0]
-            if eligible.size == 0:
+            candidates = np.flatnonzero(~is_center & (min_dist >= eps))[:block]
+            if candidates.size == 0:
                 break
-            j = int(eligible[0])
-            is_center[j] = True
-            np.minimum(min_dist, rows(j), out=min_dist)
+            for j, row in zip(candidates, rows(candidates)):
+                if min_dist[j] >= eps:
+                    is_center[j] = True
+                    np.minimum(min_dist, row, out=min_dist)
         counts[level] = int(np.count_nonzero(is_center))
     return counts, is_center
 
@@ -293,21 +309,30 @@ def _transposed(stack):
     return np.ascontiguousarray(stack.swapaxes(1, 2))
 
 
-def _captured(members, w):
-    """||W' w||_F^2 for every member W of a (B, r, p) stack of transposed
-    frames: one GEMM on its row matrix, then a sum of squares over each
-    r x r block.  w is copied to C order first, which the GEMM takes about
-    three times faster than a transposed view."""
+def _captured(members, frames):
+    """||W' V||_F^2 for every frame V of a (K, r, p) stack and every member
+    W of a (B, r, p) stack, both of transposed frames, as a (K, B) array: one
+    GEMM of the row matrix of frames against that of members, then a sum of
+    squares over each r x r block by r - 1 strided adds per axis."""
     count, r, p = members.shape
-    cross = members.reshape(count * r, p) @ np.ascontiguousarray(w)
-    cross = cross.reshape(count, r * w.shape[1])
-    return np.einsum("ij,ij->i", cross, cross)
+    cross = frames.reshape(-1, p) @ members.reshape(count * r, p).T
+    cross *= cross
+    cross = cross.reshape(*frames.shape[:2], count, r)
+    sums = cross[:, 0]
+    for i in range(1, cross.shape[1]):
+        sums = sums + cross[:, i]
+    total = sums[..., 0]
+    for j in range(1, r):
+        total = total + sums[..., j]
+    return total
 
 
-def _gram_distances(members, w):
-    """Projector distances sqrt(2 (r - ||W' w||_F^2)) from the p x r frame w
-    to every member W of a (B, r, p) stack of transposed frames."""
-    return np.sqrt(np.clip(2.0 * (members.shape[1] - _captured(members, w)), 0.0, None))
+def _gram_distances(members, frames):
+    """Projector distances sqrt(2 (r - ||W' V||_F^2)) from every frame V of
+    a (K, r, p) stack to every member W of a (B, r, p) stack, both of
+    transposed frames, as a (K, B) array."""
+    return np.sqrt(np.clip(2.0 * (members.shape[1] - _captured(members, frames)),
+                           0.0, None))
 
 
 def _draw_blocks(cset, rng, budget):
@@ -333,7 +358,7 @@ def covering_number_estimate(cset: constraints.ConstraintSet, epsilon: float,
     _check_budget(budget)
     members = np.concatenate(list(_draw_blocks(cset, constraints.as_generator(seed), budget)))
     counts, _ = _greedy_net_counts(
-        [epsilon], budget, lambda j: _gram_distances(members, members[j].T))
+        [epsilon], members, lambda idx: _gram_distances(members, members[idx]))
     return int(counts[0])
 
 
@@ -343,6 +368,7 @@ def _draw_tangent_stack(cset, center, budget, rng):
     draw whose projector equals the center's is skipped.
     """
     u = center.values
+    ut = _transposed(u[None])
     frames, overlaps, norms = [], [], []
     for members in _draw_blocks(cset, rng, budget):
         cross = members.reshape(-1, u.shape[0]) @ u
@@ -354,7 +380,7 @@ def _draw_tangent_stack(cset, center, budget, rng):
         norm = math.sqrt(2.0) * frobenius_norms(resid)
         keep = ~(norm < 1e-9)
         frames.append(members[keep])
-        overlaps.append(_captured(frames[-1], u))
+        overlaps.append(_captured(frames[-1], ut)[0])
         norms.append(norm[keep])
     if not any(len(f) for f in frames):
         return None
@@ -362,12 +388,13 @@ def _draw_tangent_stack(cset, center, budget, rng):
 
 
 def _tangent_distance_rows(members, overlaps, norms, idx):
-    """Frobenius distances from tangent element idx to every element of a
-    (n, r, p) stack of transposed member frames."""
-    inner = _captured(members, members[idx].T)
+    """Frobenius distances from each tangent element of the index array idx
+    to every element of a (n, r, p) stack of transposed member frames, as a
+    (len(idx), n) array."""
+    inner = _captured(members, members[idx])
     r = members.shape[1]
-    numer = inner - overlaps - overlaps[idx] + r
-    sq = 2.0 - 2.0 * numer / (norms * norms[idx])
+    numer = inner - overlaps - overlaps[idx, None] + r
+    sq = 2.0 - 2.0 * numer / (norms * norms[idx, None])
     return np.sqrt(np.clip(sq, 0.0, None))
 
 
@@ -406,8 +433,8 @@ def dudley_estimate(cset: constraints.ConstraintSet, center: OrthonormalFrame,
     if drawn is not None:
         members, overlaps, norms = drawn
         counts, _ = _greedy_net_counts(
-            grid, len(members),
-            lambda j: _tangent_distance_rows(members, overlaps, norms, j))
+            grid, members,
+            lambda idx: _tangent_distance_rows(members, overlaps, norms, idx))
         unresolved = counts == len(members)
     logs = np.where(counts > 0, np.log(np.maximum(counts, 1)), 0.0)
     roots = np.sqrt(logs)

@@ -205,7 +205,9 @@ def sweep(grid, base_model: models.ModelSpec, cset: constraints.ConstraintSet,
     """
     if not grid:
         raise ValueError("empty sweep grid")
-    rows = []
+    # every row's model and constraint set is built before the first trial,
+    # so a bad grid point fails at once, not after the rows before it ran
+    points = []
     for index, assignment in enumerate(grid):
         unknown = set(assignment) - set(KNOBS)
         if unknown:
@@ -223,7 +225,9 @@ def sweep(grid, base_model: models.ModelSpec, cset: constraints.ConstraintSet,
             if name in assignment:
                 changes[name] = int(assignment[name])
         model = dataclasses.replace(base_model, **changes)
-        row_cset = cset.resized(model.frame_dim, rank, assignment.get("k"))
+        points.append((model, cset.resized(model.frame_dim, rank, assignment.get("k"))))
+    rows = []
+    for model, row_cset in points:
         risk = monte_carlo_risk(model, row_cset, config, trials)
         rows.append(SweepRow(
             family=model.family, r=model.rank, t=model.spectrum.scale,

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 
@@ -335,6 +338,44 @@ def test_non_finite_scale_noise_or_epsilon_exit_two(tmp_path, capsys):
         assert main([*argv, "--out", str(out)]) == 2, argv
         assert not out.exists(), argv
         assert "ValueError" in capsys.readouterr().err, argv
+
+
+def test_entropy_non_finite_bounds_exit_two_without_warnings(tmp_path, capsys):
+    # the bounds are checked before the epsilon grid is built from them
+    base = ["entropy", "--constraint", "nonneg", "--p", "8", "--r", "2"]
+    for index, bound in enumerate((["--eps-min", "inf"], ["--eps-max", "nan"])):
+        out = tmp_path / f"ent{index}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*base, *bound, "--out", str(out)]) == 2, bound
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], bound
+        assert not out.exists(), bound
+        err = capsys.readouterr().err
+        assert "ValueError" in err and "RuntimeWarning" not in err, bound
+
+
+_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def test_entropy_p64_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # the greedy net's block products are wide enough for the BLAS to
+    # thread; the two entropy commands of the p = 64 benchmark must not
+    # depend on it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (os.path.abspath(_SRC),
+                                                       env.get("PYTHONPATH"))))
+    outputs = {}
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+        for text in ("sparse:k=8", "nonneg"):
+            out = tmp_path / f"{text.replace(':', '_')}-{threads}"
+            argv = [sys.executable, "-m", "subspace_est.cli", "entropy",
+                    "--p", "64", "--r", "2", "--budget", "1000",
+                    "--constraint", text, "--out", str(out)]
+            subprocess.run(argv, env=env, check=True)
+            outputs[text, threads] = (out / "entropy.json").read_bytes()
+    for text in ("sparse:k=8", "nonneg"):
+        assert outputs[text, "1"] == outputs[text, "2"], text
 
 
 def test_oracle_fewer_than_one_trial_exit_two(tmp_path, capsys):

@@ -184,6 +184,87 @@ def test_greedy_local_packing_matches_sequential_reference(text, p, r, epsilon,
         assert np.array_equal(got.values, ref.values)
 
 
+def _net_outputs(r):
+    """Every output of the three greedy-net estimates on nonneg p = 10, keyed
+    by the number of points their nets run over: the budget for the
+    covering and tangent nets, and one more for the packing, whose radius is
+    the diameter sqrt(2 r), so that its ball holds the center and every
+    draw."""
+    cset = constraints.nonneg(10, r)
+    center = constraints.random_member(cset, 0)
+    budget = 150
+    dudley = dudley_estimate(cset, center, budget=budget, seed=1)
+    covering = [covering_number_estimate(cset, eps, budget=budget, seed=2)
+                for eps in (0.6, 1.2)]
+    pack = greedy_local_packing(cset, center, math.sqrt(2.0 * r), 0.5,
+                                budget=budget, seed=3)
+    return {budget: (dudley.log_covering, dudley.unresolved, covering),
+            budget + 1: np.stack([m.values for m in pack.members])}
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("rows_per_block", [1, 3, "all"])
+def test_net_outputs_same_at_every_block_size(monkeypatch, r, rows_per_block):
+    # blocks of candidate centers admit exactly the centers of one
+    # candidate at a time, whatever the block size
+    want = _net_outputs(r)
+    blocks = []
+    captured = entropy._captured
+
+    def spy(members, frames):
+        if len(members) in want:
+            blocks.append((len(members), len(frames)))
+        return captured(members, frames)
+
+    monkeypatch.setattr(entropy, "_captured", spy)
+    for size, outputs in want.items():
+        rows = size if rows_per_block == "all" else rows_per_block
+        monkeypatch.setattr(entropy, "_ROW_BYTES", 8 * size * r * r * rows)
+        got = _net_outputs(r)[size]
+        if isinstance(outputs, tuple):
+            assert got == outputs
+        else:
+            assert np.array_equal(got, outputs)
+        assert max(k for n, k in blocks if n == size) == rows
+        blocks.clear()
+
+
+def _nested_net_counts(grid, dist):
+    """Nested greedy net sizes from an explicit distance matrix, one point
+    at a time: from the largest scale down, a point joins the net when it
+    is at least eps from every center so far."""
+    centers = []
+    counts = []
+    for eps in grid[::-1]:
+        for i in range(len(dist)):
+            if i not in centers and all(dist[i, c] >= eps for c in centers):
+                centers.append(i)
+        counts.append(len(centers))
+    return counts[::-1]
+
+
+def test_dudley_counts_match_sequential_tangent_net():
+    # the blocked Gram-form tangent net against normalized p x p projector
+    # differences compared one pair at a time
+    cset = constraints.nonneg(10, 2)
+    center = constraints.random_member(cset, 0)
+    proj = center.values @ center.values.T
+    rng = constraints.as_generator(1)
+    tangents = []
+    for _ in range(150):
+        w = constraints.random_member(cset, rng).values
+        diff = w @ w.T - proj
+        tangents.append(diff / np.linalg.norm(diff))
+    tangents = np.array(tangents)
+    dist = np.array([np.linalg.norm(tangents - t, axis=(1, 2)) for t in tangents])
+    grid = np.geomspace(0.4, 1.4, 12)
+    counts = _nested_net_counts(grid, dist)
+    # resolved at every scale, from nearly every draw down to a single center
+    assert len(tangents) > counts[0] > 100 and counts[-1] == 1
+    est = dudley_estimate(cset, center, epsilon_grid=grid, budget=150, seed=1)
+    assert est.log_covering == tuple(np.log(np.array(counts)))
+
+
 def test_covering_estimate_peak_memory_below_three_member_stacks():
     # draws are projected in bounded blocks, so the peak stays near the
     # (budget, r, p) member stack the net itself needs
@@ -317,16 +398,17 @@ def test_tangent_distance_rows_match_projector_differences():
         fro = np.linalg.norm(diff)
         assert norm == pytest.approx(fro, abs=1e-12)
         tangents.append(diff / fro)
+    rows = entropy._tangent_distance_rows(members, overlaps, norms,
+                                          np.arange(len(tangents)))
     for j in range(len(tangents)):
-        rows = entropy._tangent_distance_rows(members, overlaps, norms, j)
         explicit = [np.linalg.norm(t - tangents[j]) for t in tangents]
-        assert rows == pytest.approx(explicit, abs=1e-6)
+        assert rows[j] == pytest.approx(explicit, abs=1e-6)
 
 
 @pytest.mark.parametrize("r", [1, 2])
 @pytest.mark.parametrize("kind", ["sparse", "nonneg", "none", "subspace"])
 def test_captured_rows_match_stacked_products(kind, r):
-    # one GEMM on the row matrix against one small product per slice
+    # one GEMM of row matrices against one small product per pair of frames
     p = 12
     if kind == "subspace":
         basis = np.linalg.qr(np.random.default_rng(5).standard_normal((p, 5)))[0]
@@ -337,10 +419,13 @@ def test_captured_rows_match_stacked_products(kind, r):
     stack = constraints.random_members(cset, 0, 60)
     members = entropy._transposed(stack)
     center = constraints.random_member(cset, 1).values
-    for w in (stack[0], stack[17], stack[59], center):
+    frames = [stack[0], stack[17], stack[59], center]
+    captured = entropy._captured(members, entropy._transposed(np.stack(frames)))
+    assert captured.shape == (len(frames), len(stack))
+    for w, row in zip(frames, captured):
         cross = stack.swapaxes(1, 2) @ w
         explicit = np.sum(cross * cross, axis=(1, 2))
-        assert np.max(np.abs(entropy._captured(members, w) - explicit)) <= 1e-14
+        assert np.max(np.abs(row - explicit)) <= 1e-14
 
 
 def test_entropy_estimates_reject_budget_below_one(monkeypatch):

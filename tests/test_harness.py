@@ -186,6 +186,24 @@ def test_sweep_rows_and_knobs():
             sweep([{"k": 3}, {"k": 5}], model, no_k, _spectral(), trials=4)
 
 
+def test_sweep_checks_every_grid_point_before_the_first_trial(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return monte_carlo_risk(*args)
+
+    monkeypatch.setattr(harness, "monte_carlo_risk", counted)
+    model = _wigner_model(t=4.0)
+    cset = constraints.unconstrained(8, 1)
+    for bad in ({"t": math.nan}, {"sigma": math.inf}, {"bogus": 1}):
+        with pytest.raises(ValueError):
+            sweep([{"t": 2.0}, {"t": 4.0}, bad], model, cset, _spectral(), trials=4)
+    assert calls == []
+    sweep([{"t": 2.0}, {"t": 4.0}], model, cset, _spectral(), trials=4)
+    assert len(calls) == 2
+
+
 def test_sweep_refuses_to_redimension_subspace():
     basis = orthonormalize(np.random.default_rng(1).standard_normal((8, 4)))
     cset = constraints.subspace(basis, 1)
