@@ -198,7 +198,7 @@ def _cmd_simulate(resolved: dict) -> dict:
     instance = models.sample_instance(model, cset)
     return {"Y.csv": instance.observation,
             "U_truth.csv": instance.truth_left.values,
-            "spectrum.csv": instance.truth_spectrum.array[:, None]}
+            "spectrum.csv": model.spectrum.array[:, None]}
 
 
 def _read_matrix_checked(path: str) -> np.ndarray:

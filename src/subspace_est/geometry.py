@@ -115,6 +115,8 @@ def _as_matrix(u) -> np.ndarray:
 def check_orthonormal(stack) -> None:
     """Raise ValueError unless the columns of a p x r matrix, or of every
     slice of a (B, p, r) stack, are orthonormal within FRAME_TOL."""
+    if not np.isfinite(stack).all():
+        raise ValueError("frame has non-finite entries")
     gram = stack.swapaxes(-1, -2) @ stack
     err = np.abs(gram - np.eye(stack.shape[-1])).max(initial=0.0)
     # written so that a NaN error, which compares False, raises too

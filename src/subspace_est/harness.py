@@ -124,8 +124,6 @@ def _spec_digest(model: models.ModelSpec, cset: constraints.ConstraintSet,
         model.p1, model.p2, model.n, model.p,
         tuple(model.spectrum.values), model.spectrum.scale,
         model.spectrum.conditioning)
-    if model.mean is not None:
-        h.update(np.ascontiguousarray(model.mean, dtype=float).tobytes())
     put(cset.kind, cset.p, cset.r, cset.k)
     if cset.basis is not None:
         h.update(np.ascontiguousarray(cset.basis.values).tobytes())

@@ -4,9 +4,10 @@ covariance, symmetric noise, and two-group clustering.
 Families and shapes:
 
 - "denoising":  Y = U diag(spectrum) V' + sigma * Z, Y is p1 x p2
-- "wishart":    n rows iid N(mean, U diag(spectrum) U' + sigma^2 I), Y is n x p
+- "wishart":    n rows iid N(0, U diag(spectrum) U' + sigma^2 I), Y is n x p
 - "wigner":     Y = U diag(spectrum) U' + sigma * Z symmetric, Y is p x p
-- "clustering": Y = sqrt(n) u theta' + sigma * Z, Y is n x p, u = labels/sqrt(n)
+- "clustering": rank-one denoising of an n x p matrix whose planted u is a
+                sign vector; the group labels are sign(u)
 
 Each family also fixes the objective matrix its estimators maximize over
 (objective_matrix) and its noise factor in the minimax rate
@@ -50,7 +51,6 @@ class ModelSpec:
     p2: int | None = None
     n: int | None = None
     p: int | None = None
-    mean: tuple | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -85,12 +85,6 @@ class ModelSpec:
                 raise DimensionMismatch("wigner needs p")
             if self.rank > self.p:
                 raise DimensionMismatch("rank exceeds p")
-        if self.mean is not None:
-            if self.family != WISHART:
-                raise ValueError("mean applies only to the wishart family")
-            if len(self.mean) != self.p:
-                raise DimensionMismatch("mean length must equal p")
-            object.__setattr__(self, "mean", tuple(float(v) for v in self.mean))
 
     @property
     def frame_dim(self) -> int:
@@ -121,14 +115,11 @@ class ModelSpec:
 
 @dataclass
 class SampledInstance:
-    """One draw from a model: the observation plus the planted truth."""
+    """One draw from a model: the observation plus the planted frames."""
 
-    spec: ModelSpec
     observation: np.ndarray
     truth_left: OrthonormalFrame
-    truth_spectrum: SpectrumSpec
     truth_right: OrthonormalFrame | None = None
-    labels: np.ndarray | None = None
 
 
 def instance_rng(seed: int, trial_index: int = 0) -> np.random.Generator:
@@ -160,35 +151,25 @@ def sample_instance(spec: ModelSpec, cset: constraints.ConstraintSet,
     lam = spec.spectrum.array
     sigma = spec.noise_sd
 
-    if spec.family == DENOISING:
+    if spec.family in (DENOISING, CLUSTERING):
+        rows, cols = (spec.p1, spec.p2) if spec.family == DENOISING else (spec.n, spec.p)
         right = constraints.random_member(
-            constraints.unconstrained(spec.p2, spec.rank), rng)
-        noise = rng.standard_normal((spec.p1, spec.p2))
+            constraints.unconstrained(cols, spec.rank), rng)
+        noise = rng.standard_normal((rows, cols))
         y = (truth.values * lam) @ right.values.T + sigma * noise
-        return SampledInstance(spec, y, truth, spec.spectrum, truth_right=right)
+        return SampledInstance(y, truth, right)
 
     if spec.family == WISHART:
         scores = rng.standard_normal((spec.n, spec.rank))
         noise = rng.standard_normal((spec.n, spec.p))
         y = (scores * np.sqrt(lam)) @ truth.values.T + sigma * noise
-        if spec.mean is not None:
-            y = y + np.asarray(spec.mean)
-        return SampledInstance(spec, y, truth, spec.spectrum)
+        return SampledInstance(y, truth)
 
-    if spec.family == WIGNER:
-        raw = rng.standard_normal((spec.p, spec.p))
-        z = np.triu(raw) + np.triu(raw, 1).T
-        y = (truth.values * lam) @ truth.values.T + sigma * z
-        return SampledInstance(spec, y, truth, spec.spectrum, truth_right=truth)
-
-    # clustering: labels are the signs of the planted unit vector
-    right = constraints.random_member(
-        constraints.unconstrained(spec.p, 1), rng)
-    noise = rng.standard_normal((spec.n, spec.p))
-    y = lam[0] * truth.values @ right.values.T + sigma * noise
-    labels = np.where(truth.values[:, 0] >= 0, 1, -1)
-    return SampledInstance(spec, y, truth, spec.spectrum, truth_right=right,
-                           labels=labels)
+    # wigner
+    raw = rng.standard_normal((spec.p, spec.p))
+    z = np.triu(raw) + np.triu(raw, 1).T
+    y = (truth.values * lam) @ truth.values.T + sigma * z
+    return SampledInstance(y, truth, truth)
 
 
 def objective_matrix(family: str, observation: np.ndarray) -> np.ndarray:
@@ -201,6 +182,8 @@ def objective_matrix(family: str, observation: np.ndarray) -> np.ndarray:
     if family == WISHART:
         return sample_covariance(y)
     if family == WIGNER:
+        if y.ndim != 2 or y.shape[0] != y.shape[1]:
+            raise DimensionMismatch(f"wigner needs a square observation, got shape {y.shape}")
         return (y + y.T) / 2.0
     raise DimensionMismatch(f"unknown family {family!r}")
 

@@ -189,7 +189,7 @@ def test_05_clustering_oracle_agreement(capsys):
     agree = 0
     for trial in range(200):
         instance = models.sample_instance(model, cset, trial_index=trial)
-        m = models.objective_matrix(instance.spec.family, instance.observation)
+        m = models.objective_matrix(model.family, instance.observation)
         u_it = estimate(m, cset, iterative).frame
         u_ex = estimate(m, cset, brute).frame
         agree += subspace_distance(u_it, u_ex) <= 1e-9

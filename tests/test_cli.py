@@ -311,6 +311,17 @@ def test_estimate_non_finite_observation_exit_three(tmp_path, capsys):
     assert not (tmp_path / "est").exists()
 
 
+def test_estimate_wigner_on_non_square_observation_exit_two(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert _simulate(sim) == 0
+    est = tmp_path / "est"
+    argv = ["estimate", "--in", str(sim), "--family", "wigner", "--out", str(est)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "DimensionMismatch" in err and "wigner" in err
+    assert not est.exists()
+
+
 def test_wishart_with_fewer_than_two_rows_exit_two(tmp_path, capsys):
     base = ["--family", "wishart", "--n", "1", "--p", "6", "--r", "1", "--t", "3",
             "--sigma", "1", "--constraint", "none"]

@@ -58,13 +58,15 @@ def test_objective_matrix_families():
     assert np.array_equal(objective_matrix("wigner", s), (s + s.T) / 2.0)
     with pytest.raises(DimensionMismatch):
         objective_matrix("bogus", y)
+    with pytest.raises(DimensionMismatch, match="wigner"):
+        objective_matrix("wigner", y)
 
 
 def test_build_objective_matrix_cross_check():
     spec = models.ModelSpec("wigner", 1, SpectrumSpec.flat(3.0, 1), 0.5,
                             seed=1, p=6)
     inst = models.sample_instance(spec, constraints.unconstrained(6, 1))
-    m = models.objective_matrix(inst.spec.family, inst.observation)
+    m = models.objective_matrix(spec.family, inst.observation)
     assert np.array_equal(m, (inst.observation + inst.observation.T) / 2.0)
 
 
@@ -139,7 +141,7 @@ def test_estimate_dispatch_and_determinism():
                             seed=3, p1=12, p2=18)
     cset = constraints.signs(12)
     inst = models.sample_instance(spec, cset)
-    m = models.objective_matrix(inst.spec.family, inst.observation)
+    m = models.objective_matrix(spec.family, inst.observation)
     for method in ("iterative", "exhaustive", "spectral"):
         cfg = EstimatorConfig(method=method)
         first = estimate(m, cset, cfg).frame
@@ -208,7 +210,7 @@ def _denoising_objective(cset, t, seed, p1, p2):
     spec = models.ModelSpec("denoising", cset.r, SpectrumSpec.flat(t, cset.r),
                             1.0, seed=seed, p1=p1, p2=p2)
     inst = models.sample_instance(spec, cset)
-    return models.objective_matrix(inst.spec.family, inst.observation)
+    return models.objective_matrix(spec.family, inst.observation)
 
 
 def _equivalence_cases():
@@ -416,3 +418,20 @@ def test_spectral_step_without_member_raises_degenerate():
     for method in ("iterative", "spectral"):
         with pytest.raises(DegenerateInput):
             estimate(m, cset, EstimatorConfig(method=method))
+
+
+def test_returned_frames_are_still_checked(monkeypatch):
+    # the loop checks no iterate; wrapping each result in an OrthonormalFrame
+    # is the one check, and it still refuses a slice that is not a frame
+    project_batch = constraints.project_batch
+
+    def doubled(cset, stack):
+        members, ok = project_batch(cset, stack)
+        return 2.0 * members, np.ones_like(ok)
+
+    monkeypatch.setattr(constraints, "project_batch", doubled)
+    cset = constraints.unconstrained(6, 2)
+    ms = np.stack([np.diag(np.arange(6.0, 0.0, -1.0))] * 3)
+    for method in ("iterative", "spectral"):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            estimators.estimate_batch(ms, cset, EstimatorConfig(method=method))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,18 +25,21 @@ def test_orthonormal_frame_validates():
 
 
 def test_non_finite_frames_are_rejected():
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError):
-            OrthonormalFrame(np.full((4, 1), bad))
-        one_entry = np.eye(4, 2)
-        one_entry[3, 1] = bad
-        with pytest.raises(ValueError):
-            OrthonormalFrame(one_entry)
-    stack = np.stack([np.eye(5, 2)] * 3)
-    check_orthonormal(stack)
-    stack[1, 0, 0] = np.nan
-    with pytest.raises(ValueError):
+    # refused before U'U is formed, so numpy warns about nothing on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                OrthonormalFrame(np.full((4, 1), bad))
+            one_entry = np.eye(4, 2)
+            one_entry[3, 1] = bad
+            with pytest.raises(ValueError):
+                OrthonormalFrame(one_entry)
+        stack = np.stack([np.eye(5, 2)] * 3)
         check_orthonormal(stack)
+        stack[1, 0, 0] = np.nan
+        with pytest.raises(ValueError):
+            check_orthonormal(stack)
 
 
 def test_orthonormalize_scaled_identity_block():

@@ -68,7 +68,7 @@ def test_denoising_observation_decomposition():
                             noise_sd=1e-300, seed=9, p1=12, p2=8)
     cset = constraints.unconstrained(12, 2)
     inst = models.sample_instance(spec, cset)
-    rebuilt = (inst.truth_left.values * inst.truth_spectrum.array) @ inst.truth_right.values.T
+    rebuilt = (inst.truth_left.values * spec.spectrum.array) @ inst.truth_right.values.T
     assert np.max(np.abs(inst.observation - rebuilt)) <= 1e-12
 
 
@@ -84,15 +84,6 @@ def test_wishart_empirical_covariance():
     empirical = models.sample_covariance(inst.observation)
     rel = np.linalg.norm(empirical - target) / np.linalg.norm(target)
     assert rel <= 0.05
-
-
-def test_wishart_mean_shift():
-    mean = tuple(float(x) for x in np.arange(4.0))
-    spec = models.ModelSpec(family="wishart", rank=1,
-                            spectrum=SpectrumSpec.flat(2.0, 1), noise_sd=1.0,
-                            seed=3, n=20000, p=4, mean=mean)
-    inst = models.sample_instance(spec, constraints.unconstrained(4, 1))
-    assert np.max(np.abs(inst.observation.mean(axis=0) - np.asarray(mean))) <= 0.1
 
 
 def test_wigner_observation_symmetric():
@@ -125,8 +116,21 @@ def test_clustering_shapes_and_labels():
     inst = models.sample_instance(spec, cset)
     assert inst.observation.shape == (12, 30)
     assert np.all(np.abs(np.abs(inst.truth_left.values) - 1 / math.sqrt(12)) <= 1e-12)
-    assert np.array_equal(inst.labels,
-                          np.where(inst.truth_left.values[:, 0] >= 0, 1, -1))
+
+
+def test_clustering_is_rank_one_denoising_of_the_n_by_p_matrix():
+    spectrum = SpectrumSpec.flat(6.0, 1)
+    clustering = models.ModelSpec(family="clustering", rank=1, spectrum=spectrum,
+                                  noise_sd=1.3, seed=21, n=14, p=9)
+    denoising = models.ModelSpec(family="denoising", rank=1, spectrum=spectrum,
+                                 noise_sd=1.3, seed=21, p1=14, p2=9)
+    cset = constraints.signs(14)
+    for trial in (0, 5):
+        a = models.sample_instance(clustering, cset, trial_index=trial)
+        b = models.sample_instance(denoising, cset, trial_index=trial)
+        assert np.array_equal(a.observation, b.observation)
+        assert np.array_equal(a.truth_left.values, b.truth_left.values)
+        assert np.array_equal(a.truth_right.values, b.truth_right.values)
 
 
 def test_provided_truth_is_checked_against_constraint():

@@ -1,8 +1,9 @@
 import ast
+import dataclasses
 import pathlib
 
 import subspace_est
-from subspace_est import estimators
+from subspace_est import estimators, models
 
 
 def test_every_export_resolves():
@@ -52,3 +53,16 @@ def test_entropy_has_one_draw_path():
     per_member = {"random_member", "subspace_distance"}
     assert _calls(tree, per_member) == _calls(validate, per_member)
     assert _calls(tree, {"random_members"}) == ["random_members"]
+
+
+def test_trial_path_keeps_no_derivable_state():
+    # each returned frame is checked once, when it becomes an OrthonormalFrame,
+    # and an instance holds only what its caller cannot derive from the spec
+    package = pathlib.Path(subspace_est.__file__).parent
+    tree = ast.parse((package / "estimators.py").read_text())
+    loops = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+             and n.name in ("iterative_projection_batch", "_spectral_members")]
+    assert [_calls(n, {"check_orthonormal"}) for n in loops] == [[], []]
+    assert [f.name for f in dataclasses.fields(models.SampledInstance)] == [
+        "observation", "truth_left", "truth_right"]
+    assert "mean" not in {f.name for f in dataclasses.fields(models.ModelSpec)}
