@@ -13,6 +13,7 @@ error, 3 I/O failure, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import itertools
 import json
@@ -47,11 +48,10 @@ class _FileError(Exception):
 
 # key -> (type tag, default, required); None default means "must resolve"
 _MODEL_KEYS = {
-    "family": ("str", None, True), "p1": ("int", None, False),
-    "p2": ("int", None, False), "n": ("int", None, False),
-    "p": ("int", None, False), "r": ("int", None, True),
-    "t": ("float", None, True), "sigma": ("float", None, True),
-    "constraint": ("str", None, True),
+    "family": ("str", None, True),
+    **{name: ("int", None, False) for name in models.DIMENSIONS},
+    "r": ("int", None, True), "t": ("float", None, True),
+    "sigma": ("float", None, True), "constraint": ("str", None, True),
 }
 # EstimatorConfig's annotations are strings ("int", "float", "str"), so they
 # double as type tags
@@ -147,11 +147,14 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _format_config_value(value) -> str:
+def _format_value(value) -> str:
+    """A config value or a CSV cell as text; None is an empty cell."""
+    if value is None:
+        return ""
     if isinstance(value, float):
         return format_float(value)
     if isinstance(value, tuple):
-        return ",".join(_format_config_value(v) for v in value)
+        return ",".join(_format_value(v) for v in value)
     return str(value)
 
 
@@ -173,9 +176,12 @@ def _write_outputs(command: str, resolved: dict, outputs: dict) -> None:
                 json.dump(value, fh, indent=2, sort_keys=True)
                 fh.write("\n")
         else:
-            harness.write_sweep_csv(path, value)
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(field.name for field in dataclasses.fields(harness.SweepRow))
+                writer.writerows(map(_format_value, dataclasses.astuple(row)) for row in value)
     with open(os.path.join(out_dir, f"{command}_config.txt"), "w") as fh:
-        fh.writelines(f"{key}={_format_config_value(value)}\n"
+        fh.writelines(f"{key}={_format_value(value)}\n"
                       for key, value in sorted(resolved.items()) if value is not None)
 
 
@@ -184,8 +190,7 @@ def _build_model(resolved: dict, rank: int, t: float) -> models.ModelSpec:
         family=resolved["family"], rank=rank,
         spectrum=models.SpectrumSpec.flat(t, rank),
         noise_sd=resolved["sigma"], seed=resolved["seed"],
-        p1=resolved.get("p1"), p2=resolved.get("p2"),
-        n=resolved.get("n"), p=resolved.get("p"))
+        **{name: resolved.get(name) for name in models.DIMENSIONS})
 
 
 def _estimator_config(resolved: dict) -> estimators.EstimatorConfig:
@@ -223,8 +228,6 @@ def _cmd_estimate(resolved: dict) -> dict:
                 raise _UsageError(f"--{key} not given and absent from {stored_path}")
             resolved[key] = _convert(key, _KEYSPECS["estimate"][key][0], stored[key])
     observation = _read_matrix_checked(os.path.join(in_dir, "Y.csv"))
-    if resolved["family"] not in models.FAMILIES:
-        raise _UsageError(f"unknown family {resolved['family']!r}")
     m = models.objective_matrix(resolved["family"], observation)
     cset = constraints.parse_constraint(resolved["constraint"], m.shape[0], resolved["r"])
     result = estimators.estimate(m, cset, _estimator_config(resolved))

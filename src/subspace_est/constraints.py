@@ -7,6 +7,8 @@ members for Monte Carlo work, with `random_member` its one-slice case.
 Non-negative orthonormal columns have disjoint supports, so for r > 1 the
 non-negative projection searches over row-to-column assignments.
 `ConstraintSet.rate_term` gives the set's entropy term in the minimax rate.
+The argument each kind takes in a constraint string is listed once
+(_ARGUMENTS), and `as_generator` is the one rule from a seed to a stream.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ SIGNS = "signs"
 UNCONSTRAINED = "none"
 
 _KINDS = (SPARSE, NONNEG, SUBSPACE, SIGNS, UNCONSTRAINED)
+# the one argument a kind takes in a constraint string; the others take none
+_ARGUMENTS = {SPARSE: "k", SUBSPACE: "qfile"}
 
 # a non-negative assignment move must gain more than this share of the value
 _MOVE_RTOL = 1e-12
@@ -62,24 +66,28 @@ class ConstraintSet:
             if self.basis.p != self.p or not (self.r < k < self.p):
                 raise ValueError(
                     f"subspace basis must be p x k with r < k < p, got {self.basis.p} x {k}")
+            if self.k not in (None, k):
+                raise ValueError(f"subspace k={self.k} differs from the basis width {k}")
             object.__setattr__(self, "k", k)
+        elif self.basis is not None:
+            raise ValueError(f"{self.kind} constraint takes no basis")
         if self.kind == SIGNS and self.r != 1:
             raise ValueError("sign-vector constraint requires r = 1")
         if self.kind in (NONNEG, SIGNS, UNCONSTRAINED) and self.k is not None:
             raise ValueError(f"{self.kind} constraint takes no k, got k={self.k}")
 
-    def rate_term(self, ambient: int) -> tuple:
-        """(term, cap): the set's entropy term in the minimax rate at frame
-        dimension ambient, and the rate's cap, the diameter sqrt(r) of the
-        unconstrained frames and 1 for a structured set."""
+    def rate_term(self) -> tuple:
+        """(term, cap): the set's entropy term in the minimax rate, and the
+        rate's cap, the diameter sqrt(r) of the unconstrained frames and 1 for
+        a structured set."""
         if self.kind == SPARSE:
             k = self.k
-            return math.sqrt(k * math.log(math.e * ambient / k)) + math.sqrt(k), 1.0
+            return math.sqrt(k * math.log(math.e * self.p / k)) + math.sqrt(k), 1.0
         if self.kind == SUBSPACE:
             return math.sqrt(self.k), 1.0
         if self.kind == UNCONSTRAINED:
-            return math.sqrt(self.r * ambient), math.sqrt(self.r)
-        return math.sqrt(ambient), 1.0
+            return math.sqrt(self.r * self.p), math.sqrt(self.r)
+        return math.sqrt(self.p), 1.0
 
     def resized(self, p: int, r: int, k: int | None = None) -> ConstraintSet:
         """The same kind on p x r frames, with k replaced when given.  A stored
@@ -287,11 +295,13 @@ def project(cset: ConstraintSet, u) -> OrthonormalFrame:
     return OrthonormalFrame(members[0])
 
 
-def as_generator(seed) -> np.random.Generator:
-    """Accept an int seed or a Generator and return a Generator."""
+def as_generator(seed, *key) -> np.random.Generator:
+    """Accept an int seed or a Generator and return a Generator: for an int,
+    the Philox stream of SeedSequence(seed, spawn_key=key), one per key."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    sequence = np.random.SeedSequence(int(seed), spawn_key=tuple(map(int, key)))
+    return np.random.Generator(np.random.Philox(sequence))
 
 
 def _orthonormal_or_raise(stack: np.ndarray) -> np.ndarray:
@@ -349,23 +359,15 @@ def parse_constraint(text: str, p: int, r: int) -> ConstraintSet:
 
     head, sep, rest = text.partition(":")
     head = head.strip()
-    if sep and head in (UNCONSTRAINED, NONNEG, SIGNS):
-        raise ValueError(f"{head} constraint takes no argument, got {text!r}")
-    if head == UNCONSTRAINED:
-        return unconstrained(p, r)
-    if head == NONNEG:
-        return nonneg(p, r)
-    if head == SIGNS:
-        return ConstraintSet(SIGNS, p, r)
-    if head == SPARSE:
-        key, _, val = rest.partition("=")
-        if key.strip() != "k":
-            raise ValueError(f"sparse constraint needs k=<int>, got {text!r}")
-        return sparse(p, r, int(val))
-    if head == SUBSPACE:
-        key, _, val = rest.partition("=")
-        if key.strip() != "qfile":
-            raise ValueError(f"subspace constraint needs qfile=<path>, got {text!r}")
-        basis = OrthonormalFrame(read_matrix(val.strip()))
-        return subspace(basis, r)
-    raise ValueError(f"unknown constraint {text!r}")
+    if head not in _KINDS:
+        raise ValueError(f"unknown constraint {text!r}")
+    key, _, value = rest.partition("=")
+    argument = _ARGUMENTS.get(head)
+    if (key.strip() if sep else None) != argument:
+        wanted = f"{argument}=<value>" if argument else "no argument"
+        raise ValueError(f"{head} constraint takes {wanted}, got {text!r}")
+    if argument is None:
+        return ConstraintSet(head, p, r)
+    if argument == "k":
+        return ConstraintSet(head, p, r, k=int(value))
+    return ConstraintSet(head, p, r, basis=OrthonormalFrame(read_matrix(value.strip())))

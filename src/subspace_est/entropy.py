@@ -416,14 +416,14 @@ def dudley_estimate(cset: constraints.ConstraintSet, center: OrthonormalFrame,
     singleton tangent set (or none at all) gives zero.  A scale whose net
     takes every drawn tangent element is flagged unresolved, and the
     estimate reports what share of each integral those scales carry.  Raises
-    ValueError unless the grid has two or more scales, each finite and
-    positive, and budget is at least 1.
+    ValueError, before any draw, unless the grid has two or more distinct
+    scales, each finite and positive, and budget is at least 1.
     """
     if epsilon_grid is None:
         epsilon_grid = np.geomspace(0.01, math.sqrt(2.0), 24)
     grid = np.asarray(sorted(float(e) for e in epsilon_grid))
-    if grid.size < 2:
-        raise ValueError("need an increasing positive epsilon grid")
+    if grid.size < 2 or np.any(grid[1:] == grid[:-1]):
+        raise ValueError(f"need two or more distinct epsilon scales, got {np.unique(grid).size}")
     _check_scales(grid)
     _check_budget(budget)
     rng = constraints.as_generator(seed)

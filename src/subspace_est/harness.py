@@ -15,12 +15,12 @@ Trials run in stacked blocks: each trial is sampled on its own stream, and a
 block's estimates run as one stack (estimators.estimate_batch).  All
 randomness is derived from the model seed and the trial index and each
 trial's loop is bit for bit its loop run alone, so every estimate is a pure
-function of its inputs, identical at every block size.
+function of its inputs, identical at every block size.  The harness
+returns its results and writes no file; the CLI serializes them.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import math
@@ -31,9 +31,6 @@ import numpy as np
 from . import constraints, estimators, models
 from .errors import BoundViolated, DegenerateInput
 from .geometry import subspace_distance
-
-_CSV_FIELDS = ("family", "p1", "p2", "n", "p", "r", "k", "t", "sigma",
-               "trials", "seed", "mean_d", "stderr", "theory_rate")
 
 # bytes of objective matrices that one block of trials holds at once; caps
 # the memory of a risk run whatever its trial count and dimension
@@ -57,16 +54,21 @@ class RiskEstimate:
             raise ValueError("risk summaries must be non-negative")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SweepRow:
     """One sweep grid point: knob values plus the measured and predicted risk.
 
-    Dimension fields not used by the row's family stay None and serialize to
-    empty CSV cells.
+    The fields are in the order of sweep.csv's columns.  Dimension fields not
+    used by the row's family stay None and serialize to empty CSV cells.
     """
 
     family: str
+    p1: int | None = None
+    p2: int | None = None
+    n: int | None = None
+    p: int | None = None
     r: int
+    k: int | None = None
     t: float
     sigma: float
     trials: int
@@ -74,23 +76,6 @@ class SweepRow:
     mean_d: float
     stderr: float
     theory_rate: float
-    p1: int | None = None
-    p2: int | None = None
-    n: int | None = None
-    p: int | None = None
-    k: int | None = None
-
-    def to_csv_values(self):
-        out = []
-        for name in _CSV_FIELDS:
-            value = getattr(self, name)
-            if value is None:
-                out.append("")
-            elif isinstance(value, float):
-                out.append(f"{value:.17g}")
-            else:
-                out.append(str(value))
-        return out
 
 
 @dataclass(frozen=True)
@@ -121,7 +106,7 @@ def _spec_digest(model: models.ModelSpec, cset: constraints.ConstraintSet,
             h.update(b"|")
 
     put(model.family, model.rank, model.noise_sd, model.seed,
-        model.p1, model.p2, model.n, model.p,
+        *(getattr(model, name) for name in models.DIMENSIONS),
         tuple(model.spectrum.values), model.spectrum.scale,
         model.spectrum.conditioning)
     put(cset.kind, cset.p, cset.r, cset.k)
@@ -185,7 +170,7 @@ def theory_rate(model: models.ModelSpec, cset: constraints.ConstraintSet) -> flo
     """Constant-free minimax rate prediction at the model's knobs: the
     family's noise factor times the constraint's entropy term, capped at 1
     (sqrt(r) when unconstrained)."""
-    structure, cap = cset.rate_term(model.frame_dim)
+    structure, cap = cset.rate_term()
     return min(model.noise_rate * structure, cap)
 
 
@@ -219,7 +204,7 @@ def sweep(grid, base_model: models.ModelSpec, cset: constraints.ConstraintSet,
             changes["spectrum"] = models.SpectrumSpec.flat(scale, rank)
         if "sigma" in assignment:
             changes["noise_sd"] = float(assignment["sigma"])
-        for name in ("p1", "p2", "n", "p"):
+        for name in models.DIMENSIONS:
             if name in assignment:
                 changes[name] = int(assignment[name])
         model = dataclasses.replace(base_model, **changes)
@@ -231,17 +216,9 @@ def sweep(grid, base_model: models.ModelSpec, cset: constraints.ConstraintSet,
             family=model.family, r=model.rank, t=model.spectrum.scale,
             sigma=model.noise_sd, trials=trials, seed=model.seed,
             mean_d=risk.mean_distance, stderr=risk.stderr,
-            theory_rate=theory_rate(model, row_cset),
-            p1=model.p1, p2=model.p2, n=model.n, p=model.p, k=row_cset.k))
+            theory_rate=theory_rate(model, row_cset), k=row_cset.k,
+            **{name: getattr(model, name) for name in models.DIMENSIONS}))
     return rows
-
-
-def write_sweep_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_FIELDS)
-        for row in rows:
-            writer.writerow(row.to_csv_values())
 
 
 def fit_rate(xs, ys) -> RateFit:

@@ -9,13 +9,15 @@ Families and shapes:
 - "clustering": rank-one denoising of an n x p matrix whose planted u is a
                 sign vector; the group labels are sign(u)
 
-Each family also fixes the objective matrix its estimators maximize over
-(objective_matrix) and its noise factor in the minimax rate
+Each family reads the dimensions of its planted frames, listed in one table
+(_FRAME_DIMS), and wishart also its row count n; a spec refuses any other
+dimension.  Each family also fixes the objective matrix its estimators
+maximize over (objective_matrix) and its noise factor in the minimax rate
 (ModelSpec.noise_rate); no other module branches on the family.
 
 All randomness flows through a counter-based generator keyed by
-(seed, trial_index), so any trial can be regenerated bit for bit without
-replaying the ones before it.
+(seed, trial_index), built by constraints.as_generator, so any trial can
+be regenerated bit for bit without replaying the ones before it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,11 @@ WISHART = "wishart"
 WIGNER = "wigner"
 CLUSTERING = "clustering"
 
-FAMILIES = (DENOISING, WISHART, WIGNER, CLUSTERING)
+# the dimension fields of a spec, in the order the spec digest hashes them
+DIMENSIONS = ("p1", "p2", "n", "p")
+# each family's planted frames by their dimensions, the estimated frame first
+_FRAME_DIMS = {DENOISING: ("p1", "p2"), CLUSTERING: ("n", "p"),
+               WISHART: ("p",), WIGNER: ("p",)}
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,7 @@ class ModelSpec:
     p: int | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _FRAME_DIMS:
             raise ValueError(f"unknown family {self.family!r}")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
@@ -65,35 +71,27 @@ class ModelSpec:
             raise ValueError("noise_sd must be finite")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
-        if self.family == DENOISING:
-            if not (self.p1 and self.p2):
-                raise DimensionMismatch("denoising needs p1 and p2")
-            if self.rank > min(self.p1, self.p2):
-                raise DimensionMismatch("rank exceeds min(p1, p2)")
-        elif self.family in (WISHART, CLUSTERING):
-            if not (self.n and self.p):
-                raise DimensionMismatch(f"{self.family} needs n and p")
-            ambient = self.p if self.family == WISHART else self.n
-            if self.rank > ambient:
-                raise DimensionMismatch("rank exceeds the frame dimension")
-            if self.family == CLUSTERING and self.rank != 1:
-                raise ValueError("clustering is a rank-one family")
-            if self.family == WISHART and self.n < 2:
-                raise ValueError("wishart needs n >= 2 rows for a sample covariance")
-        else:  # wigner
-            if not self.p:
-                raise DimensionMismatch("wigner needs p")
-            if self.rank > self.p:
-                raise DimensionMismatch("rank exceeds p")
+        frames = _FRAME_DIMS[self.family]
+        # a sample covariance also reads its row count
+        reads = [name for name in DIMENSIONS
+                 if name in frames or (self.family, name) == (WISHART, "n")]
+        unread = [f"{name}={getattr(self, name)}" for name in DIMENSIONS
+                  if name not in reads and getattr(self, name) is not None]
+        if unread:
+            raise ValueError(f"{self.family} does not read {', '.join(unread)}")
+        if not all(getattr(self, name) for name in reads):
+            raise DimensionMismatch(f"{self.family} needs {' and '.join(reads)}")
+        if self.rank > min(getattr(self, name) for name in frames):
+            raise DimensionMismatch(f"rank exceeds {' or '.join(frames)}")
+        if self.family == CLUSTERING and self.rank != 1:
+            raise ValueError("clustering is a rank-one family")
+        if self.family == WISHART and self.n < 2:
+            raise ValueError("wishart needs n >= 2 rows for a sample covariance")
 
     @property
     def frame_dim(self) -> int:
         """Ambient dimension of the planted frame."""
-        if self.family == DENOISING:
-            return self.p1
-        if self.family == CLUSTERING:
-            return self.n
-        return self.p
+        return getattr(self, _FRAME_DIMS[self.family][0])
 
     @property
     def noise_rate(self) -> float:
@@ -109,7 +107,7 @@ class ModelSpec:
             return sigma * math.sqrt(t + sigma * sigma) / (t * math.sqrt(self.n))
         if self.family == WIGNER:
             return sigma / t
-        width = self.p2 if self.family == DENOISING else self.p
+        width = getattr(self, _FRAME_DIMS[self.family][1])
         return sigma * math.sqrt(t * t + sigma * sigma * width) / (t * t)
 
 
@@ -120,12 +118,6 @@ class SampledInstance:
     observation: np.ndarray
     truth_left: OrthonormalFrame
     truth_right: OrthonormalFrame | None = None
-
-
-def instance_rng(seed: int, trial_index: int = 0) -> np.random.Generator:
-    """Counter-based stream for one trial, independent of every other trial."""
-    ss = np.random.SeedSequence(int(seed), spawn_key=(int(trial_index),))
-    return np.random.Generator(np.random.Philox(ss))
 
 
 def sample_instance(spec: ModelSpec, cset: constraints.ConstraintSet,
@@ -141,7 +133,7 @@ def sample_instance(spec: ModelSpec, cset: constraints.ConstraintSet,
         raise DimensionMismatch(
             f"constraint ambient {cset.p} x {cset.r} does not match model "
             f"({spec.frame_dim} x {spec.rank})")
-    rng = instance_rng(spec.seed, trial_index)
+    rng = constraints.as_generator(spec.seed, trial_index)
     if truth_frame is not None:
         if not constraints.contains(cset, truth_frame, tol=1e-8):
             raise ConstraintViolation("truth_frame is not a member of the constraint")
@@ -152,7 +144,7 @@ def sample_instance(spec: ModelSpec, cset: constraints.ConstraintSet,
     sigma = spec.noise_sd
 
     if spec.family in (DENOISING, CLUSTERING):
-        rows, cols = (spec.p1, spec.p2) if spec.family == DENOISING else (spec.n, spec.p)
+        rows, cols = (getattr(spec, name) for name in _FRAME_DIMS[spec.family])
         right = constraints.random_member(
             constraints.unconstrained(cols, spec.rank), rng)
         noise = rng.standard_normal((rows, cols))

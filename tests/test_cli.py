@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 
-from subspace_est import harness
+from subspace_est import constraints, harness
 from subspace_est.cli import main
 from subspace_est.matio import read_matrix, write_matrix
 
@@ -398,6 +398,50 @@ def test_oracle_fewer_than_one_trial_exit_two(tmp_path, capsys):
         assert not (out / "oracle.json").exists()
         assert not out.exists()
         assert "at least 1 trial" in capsys.readouterr().err
+
+
+def test_dimension_the_family_does_not_read_exit_two(tmp_path, monkeypatch, capsys):
+    calls = []
+    risk = harness.monte_carlo_risk
+
+    def counted(*args):
+        calls.append(args)
+        return risk(*args)
+
+    monkeypatch.setattr(harness, "monte_carlo_risk", counted)
+    cases = [
+        (["risk", "--family", "wigner", "--p", "20", "--n", "7", "--r", "1", "--t", "4",
+          "--sigma", "1", "--constraint", "none", "--trials", "3"], "wigner does not read n=7"),
+        # a p grid on denoising would scan p over one unchanged model
+        (["sweep", "--family", "denoising", "--p1", "50", "--p2", "60", "--r", "1",
+          "--t", "4", "--sigma", "1", "--constraint", "nonneg", "--trials", "5",
+          "--p-grid", "10,20,30"], "denoising does not read p=10"),
+    ]
+    for argv, message in cases:
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out", str(out)]) == 2, argv[0]
+        assert not out.exists(), argv[0]
+        assert message in capsys.readouterr().err
+    assert calls == []
+
+
+def test_entropy_repeated_scale_exit_two_before_drawing(tmp_path, monkeypatch, capsys):
+    counts = []
+    draw = constraints.random_members
+
+    def counted(cset, seed, count):
+        counts.append(count)
+        return draw(cset, seed, count)
+
+    monkeypatch.setattr(constraints, "random_members", counted)
+    out = tmp_path / "ent"
+    argv = ["entropy", "--constraint", "nonneg", "--p", "64", "--r", "2",
+            "--eps-min", "0.5", "--eps-max", "0.5", "--budget", "4000", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert "two or more distinct epsilon scales" in capsys.readouterr().err
+    # the center is the one member drawn before the scales are checked
+    assert counts == [1]
 
 
 # every key each command resolves, with its default where it has one: a lost

@@ -41,6 +41,12 @@ def test_constraint_set_validation():
         ConstraintSet("subspace", 9, 2, basis=basis)  # ambient mismatch
     cset = subspace(basis, 2)
     assert cset.k == 4
+    assert ConstraintSet("subspace", 10, 2, k=4, basis=basis) == cset
+    with pytest.raises(ValueError, match="differs from the basis width 4"):
+        ConstraintSet("subspace", 10, 2, k=6, basis=basis)
+    for kind, k in (("nonneg", None), ("none", None), ("sparse", 4)):
+        with pytest.raises(ValueError, match="takes no basis"):
+            ConstraintSet(kind, 10, 2, k=k, basis=basis)
 
 
 def test_nonneg_projection_rank_one_examples():
@@ -151,20 +157,24 @@ def test_random_member_membership_and_determinism():
 
 
 def test_parse_constraint(tmp_path):
-    cset = parse_constraint("sparse:k=4", 10, 2)
-    assert (cset.kind, cset.k) == ("sparse", 4)
-    assert parse_constraint("nonneg", 10, 2).kind == "nonneg"
-    assert parse_constraint("none", 10, 2).kind == "none"
-    got = parse_constraint("signs", 10, 1)
-    assert (got.kind, got.p, got.r) == ("signs", 10, 1)
     qpath = tmp_path / "q.csv"
-    write_matrix(qpath, _haar(10, 4, 6).values)
-    got = parse_constraint(f"subspace:qfile={qpath}", 10, 2)
-    assert (got.kind, got.k) == ("subspace", 4)
+    basis = _haar(10, 4, 6)
+    write_matrix(qpath, basis.values)
+    for text, want in (("sparse:k=4", sparse(10, 2, 4)), ("nonneg", nonneg(10, 2)),
+                       ("none", unconstrained(10, 2)),
+                       (f"subspace:qfile={qpath}", subspace(basis, 2))):
+        got = parse_constraint(text, 10, 2)
+        assert (got.kind, got.p, got.r, got.k) == (want.kind, want.p, want.r, want.k)
+    assert np.array_equal(got.basis.values, basis.values)
+    assert parse_constraint("signs", 10, 1) == signs(10)
     for bad in ("sparse:j=4", "subspace:file=x", "bogus", "nonneg:k=3",
-                "signs:x", "none:k=1"):
-        with pytest.raises(ValueError):
+                "signs:x", "none:k=1", "nonneg:k=2", "sparse", "sparse:q=3",
+                "subspace:k=3", "nonneg:"):
+        with pytest.raises(ValueError, match="constraint"):
             parse_constraint(bad, 10, 2)
+    # the basis must span the frames' dimension
+    with pytest.raises(ValueError, match="subspace basis must be p x k"):
+        parse_constraint(f"subspace:qfile={qpath}", 12, 2)
 
 
 def test_contains_rejections():

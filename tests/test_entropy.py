@@ -443,6 +443,17 @@ def test_entropy_estimates_reject_budget_below_one(monkeypatch):
             dudley_estimate(cset, center, budget=budget)
 
 
+def test_dudley_refuses_repeated_or_single_scales_before_drawing(monkeypatch):
+    cset = constraints.nonneg(8, 2)
+    center = constraints.random_member(cset, 0)
+    calls = []
+    monkeypatch.setattr(constraints, "random_members", lambda *args: calls.append(args))
+    for grid in ([0.5] * 24, [0.2, 0.5, 0.5, 0.9], [0.5]):
+        with pytest.raises(ValueError, match="two or more distinct epsilon scales"):
+            dudley_estimate(cset, center, epsilon_grid=grid, budget=100)
+    assert calls == []
+
+
 def test_entropy_estimate_validation():
     EntropyEstimate((0.1, 0.2), (2.0, 1.0), 1.0, 2.0, 100)
     with pytest.raises(ValueError):

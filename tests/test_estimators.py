@@ -420,6 +420,12 @@ def test_spectral_step_without_member_raises_degenerate():
             estimate(m, cset, EstimatorConfig(method=method))
 
 
+def test_zero_objective_loses_rank_after_every_restart():
+    for cset in (constraints.unconstrained(6, 2), constraints.sparse(6, 2, 3)):
+        with pytest.raises(RankDeficient, match="lost rank after 5 restarts"):
+            estimate(np.zeros((6, 6)), cset)
+
+
 def test_returned_frames_are_still_checked(monkeypatch):
     # the loop checks no iterate; wrapping each result in an OrthonormalFrame
     # is the one check, and it still refuses a slice that is not a frame

@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from subspace_est import constraints, harness, models
+from subspace_est import cli, constraints, harness, models
 from subspace_est.errors import BoundViolated, DegenerateInput, DimensionMismatch
 from subspace_est.estimators import EstimatorConfig
 from subspace_est.geometry import (SpectrumSpec, orthonormalize,
@@ -12,7 +13,7 @@ from subspace_est.geometry import (SpectrumSpec, orthonormalize,
 from subspace_est.harness import (PhaseTransitionFit, RiskEstimate, SweepRow,
                                   detect_phase_transition, fit_rate,
                                   monte_carlo_risk, run_trials,
-                                  sweep, theory_rate, write_sweep_csv)
+                                  sweep, theory_rate)
 
 
 def _wigner_model(p=8, t=6.0, sigma=1.0, seed=0, r=1):
@@ -35,6 +36,16 @@ def test_risk_estimate_validation():
         RiskEstimate(0.3, 0.01, 1, "abc", 0)
     with pytest.raises(ValueError):
         RiskEstimate(-0.1, 0.01, 10, "abc", 0)
+
+
+def test_monte_carlo_risk_refuses_fewer_than_two_trials_before_sampling(monkeypatch):
+    calls = []
+    monkeypatch.setattr(models, "sample_instance", lambda *args, **kw: calls.append(args))
+    for trials in (1, 0):
+        with pytest.raises(ValueError, match="at least 2 trials"):
+            monte_carlo_risk(_wigner_model(), constraints.unconstrained(8, 1), _spectral(),
+                             trials=trials)
+    assert calls == []
 
 
 def test_run_trial_noiseless_bound_determinism():
@@ -227,13 +238,17 @@ def test_sweep_csv_round_trip(tmp_path):
     cset = constraints.sparse(12, 1, 4)
     rows = sweep([{"t": 5.0}, {"k": 6}], model, cset,
                  EstimatorConfig(max_iter=50), trials=5)
+    cli._write_outputs("sweep", {"out": str(tmp_path)}, {"sweep.csv": rows})
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(path, rows)
     header = path.read_text().splitlines()[0]
     assert header == "family,p1,p2,n,p,r,k,t,sigma,trials,seed,mean_d,stderr,theory_rate"
     with open(path, newline="") as fh:
         back = list(csv.reader(fh))
-    assert back[1:] == [row.to_csv_values() for row in rows]
+    # unread dimensions are empty cells and floats keep 17 significant digits
+    assert back[1:] == [["" if value is None else f"{value:.17g}" if isinstance(value, float)
+                         else str(value) for value in dataclasses.astuple(row)]
+                        for row in rows]
+    assert back[1][back[0].index("n")] == ""
     column = back[0].index("mean_d")
     assert [float(record[column]) for record in back[1:]] == [row.mean_d for row in rows]
 

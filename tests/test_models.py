@@ -51,6 +51,28 @@ def test_model_spec_validation():
                              seed=0, p=6)
 
 
+# the dimensions each family reads, the estimated frame's first
+_READ = {"denoising": {"p1": 10, "p2": 12}, "clustering": {"n": 10, "p": 12},
+         "wishart": {"p": 6, "n": 30}, "wigner": {"p": 6}}
+
+
+@pytest.mark.parametrize("family", sorted(_READ))
+def test_model_spec_refuses_dimensions_the_family_does_not_read(family):
+    def spec(**dims):
+        return models.ModelSpec(family, 1, SpectrumSpec.flat(3.0, 1), 1.0, seed=0, **dims)
+
+    read = _READ[family]
+    assert spec(**read).frame_dim == next(iter(read.values()))
+    unread = [name for name in models.DIMENSIONS if name not in read]
+    assert unread
+    for name in unread:
+        with pytest.raises(ValueError, match=f"{family} does not read {name}=5"):
+            spec(**read, **{name: 5})
+    for name in read:
+        with pytest.raises(DimensionMismatch, match=f"{family} needs"):
+            spec(**dict(read, **{name: None}))
+
+
 def test_denoising_noiseless_recovers_truth():
     spec = models.ModelSpec(family="denoising", rank=2,
                             spectrum=SpectrumSpec.flat(5.0, 2),
@@ -160,10 +182,14 @@ def test_instance_determinism_and_stream_separation():
 
 
 def test_instance_rng_matches_philox_spawn():
-    direct = models.instance_rng(99, 7).standard_normal(5)
+    direct = constraints.as_generator(99, 7).standard_normal(5)
     ss = np.random.SeedSequence(99, spawn_key=(7,))
     expected = np.random.Generator(np.random.Philox(ss)).standard_normal(5)
     assert np.array_equal(direct, expected)
+    # an empty key is the plain seed's stream
+    plain = np.random.Generator(np.random.Philox(np.random.SeedSequence(99)))
+    assert np.array_equal(constraints.as_generator(99).standard_normal(5),
+                          plain.standard_normal(5))
 
 
 def test_sample_covariance_matches_manual():

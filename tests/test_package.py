@@ -38,9 +38,31 @@ def test_cli_handlers_write_nothing():
     handlers = [n for n in ast.walk(tree)
                 if isinstance(n, ast.FunctionDef) and n.name.startswith("_cmd_")]
     assert len(handlers) == 6
-    writers = {"open", "makedirs", "write_matrix", "write_sweep_csv", "dump"}
+    writers = {"open", "makedirs", "write_matrix", "writerow", "writerows", "dump"}
     assert {n.name: _calls(n, writers) for n in handlers} == {
         n.name: [] for n in handlers}
+
+
+def test_one_seed_to_stream_rule():
+    # every stream comes from constraints.as_generator
+    package = pathlib.Path(subspace_est.__file__).parent
+    users = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and "SeedSequence" in ast.unparse(node):
+                users.append((path.name, node.name))
+        if path.name != "constraints.py":
+            assert "SeedSequence" not in path.read_text(), path.name
+    assert users == [("constraints.py", "as_generator")]
+
+
+def test_harness_writes_no_file():
+    package = pathlib.Path(subspace_est.__file__).parent
+    tree = ast.parse((package / "harness.py").read_text())
+    assert _calls(tree, {"open", "writer", "writerow", "writerows"}) == []
+    assert not any(isinstance(node, (ast.Import, ast.ImportFrom))
+                   and "csv" in [alias.name for alias in node.names]
+                   for node in ast.walk(tree))
 
 
 def test_entropy_has_one_draw_path():
