@@ -187,8 +187,7 @@ def _write_outputs(command: str, resolved: dict, outputs: dict) -> None:
 
 def _build_model(resolved: dict, rank: int, t: float) -> models.ModelSpec:
     return models.ModelSpec(
-        family=resolved["family"], rank=rank,
-        spectrum=models.SpectrumSpec.flat(t, rank),
+        family=resolved["family"], spectrum=models.SpectrumSpec.flat(t, rank),
         noise_sd=resolved["sigma"], seed=resolved["seed"],
         **{name: resolved.get(name) for name in models.DIMENSIONS})
 
@@ -319,10 +318,8 @@ def _cmd_oracle(resolved: dict) -> dict:
     exhaustive = _estimator_config(dict(resolved, method=estimators.EXHAUSTIVE))
     agree = 0
     gaps = []
-    # each run samples its own blocks, so both see the same instances
-    for (exact, truth), (iterate, _) in zip(
-            harness.run_trials(model, cset, exhaustive, trials),
-            harness.run_trials(model, cset, config, trials)):
+    runs = harness.run_trials(model, cset, (exhaustive, config), trials)
+    for truth, (exact, iterate) in runs:
         if subspace_distance(iterate.frame, exact.frame) <= 1e-9:
             agree += 1
         gaps.append(subspace_distance(iterate.frame, truth)

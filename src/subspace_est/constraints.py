@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, RankDeficient
-from .geometry import (OrthonormalFrame, _as_matrix, frobenius_norms,
-                       orthonormalize_batch)
+from .errors import DegenerateInput, DimensionMismatch
+from .geometry import (OrthonormalFrame, _as_matrix, _orthonormal_or_raise,
+                       frobenius_norms, orthonormalize_batch)
 
 SPARSE = "sparse"
 NONNEG = "nonneg"
@@ -88,16 +88,6 @@ class ConstraintSet:
         if self.kind == UNCONSTRAINED:
             return math.sqrt(self.r * self.p), math.sqrt(self.r)
         return math.sqrt(self.p), 1.0
-
-    def resized(self, p: int, r: int, k: int | None = None) -> ConstraintSet:
-        """The same kind on p x r frames, with k replaced when given.  A stored
-        subspace basis cannot follow a change of dimensions."""
-        if self.kind == SUBSPACE:
-            if (p, r) != (self.p, self.r) or k not in (None, self.k):
-                raise DimensionMismatch(
-                    "subspace constraints cannot be re-dimensioned in a sweep")
-            return self
-        return ConstraintSet(self.kind, p, r, k=self.k if k is None else k)
 
 
 def sparse(p: int, r: int, k: int) -> ConstraintSet:
@@ -302,13 +292,6 @@ def as_generator(seed, *key) -> np.random.Generator:
         return seed
     sequence = np.random.SeedSequence(int(seed), spawn_key=tuple(map(int, key)))
     return np.random.Generator(np.random.Philox(sequence))
-
-
-def _orthonormal_or_raise(stack: np.ndarray) -> np.ndarray:
-    frames, full_rank = orthonormalize_batch(stack)
-    if not full_rank.all():
-        raise RankDeficient("matrix has (numerically) dependent columns")
-    return frames
 
 
 def random_members(cset: ConstraintSet, seed, count: int) -> np.ndarray:

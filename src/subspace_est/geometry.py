@@ -152,6 +152,14 @@ def orthonormalize_batch(stack) -> tuple:
     return q * signs[:, None, :], ~deficient
 
 
+def _orthonormal_or_raise(stack) -> np.ndarray:
+    """orthonormalize_batch's frames; RankDeficient if any slice is deficient."""
+    frames, full_rank = orthonormalize_batch(stack)
+    if not full_rank.all():
+        raise RankDeficient("matrix has (numerically) dependent columns")
+    return frames
+
+
 def orthonormalize(m) -> OrthonormalFrame:
     """Thin QR factor of m with the sign convention diag(R) >= 0.
 
@@ -163,10 +171,7 @@ def orthonormalize(m) -> OrthonormalFrame:
     m = _as_matrix(m)
     if m.shape[0] < m.shape[1]:
         raise DimensionMismatch(f"need p >= r, got shape {m.shape}")
-    frames, full_rank = orthonormalize_batch(m[None])
-    if not full_rank[0]:
-        raise RankDeficient("matrix has (numerically) dependent columns")
-    return OrthonormalFrame(frames[0])
+    return OrthonormalFrame(_orthonormal_or_raise(m[None])[0])
 
 
 def subspace_distance(u1, u2) -> float:

@@ -9,8 +9,9 @@ structured sets (sqrt(r) unconstrained); only ratios and fitted slopes are
 meaningful, never absolute levels.  The harness itself knows no family or
 constraint kind.
 
-run_trials is the one place that turns a model and a trial index into an
-estimate; monte_carlo_risk and the CLI's oracle comparison both read it.
+run_trials is the one place that turns a model and a trial index into
+estimates, one per estimator config; monte_carlo_risk reads it with one
+config, and the CLI's oracle comparison with two on the same samples.
 Trials run in stacked blocks: each trial is sampled on its own stream, and a
 block's estimates run as one stack (estimators.estimate_batch).  All
 randomness is derived from the model seed and the trial index and each
@@ -118,15 +119,16 @@ def _spec_digest(model: models.ModelSpec, cset: constraints.ConstraintSet,
 
 
 def run_trials(model: models.ModelSpec, cset: constraints.ConstraintSet,
-               config: estimators.EstimatorConfig, trials: int):
-    """Yield (IterationResult, truth frame) for trials 0 .. trials - 1, in order.
+               configs: tuple, trials: int):
+    """Yield (truth frame, results) for trials 0 .. trials - 1, in order, with
+    one IterationResult per estimator config.
 
     Trial i is always simulated on the stream (model.seed, i).  Trials run in
     blocks of consecutive indices, as many as fit BLOCK_BYTES of objective
-    matrices, and each block is estimated in one stack.  Each objective
-    matrix is written into the block and its observation dropped, so the
-    (B, p, p) block is the run's working set.  A trial's result does not
-    depend on the block it runs in.
+    matrices, and every config estimates each sampled block in one stack.
+    Each objective matrix is written into the block and its observation
+    dropped, so the (B, p, p) block is the run's working set.  A trial's
+    results do not depend on the block it runs in.
     """
     size = max(1, min(trials, BLOCK_BYTES // (8 * cset.p * cset.p)))
     block = np.empty((size, cset.p, cset.p))
@@ -137,7 +139,8 @@ def run_trials(model: models.ModelSpec, cset: constraints.ConstraintSet,
             instance = models.sample_instance(model, cset, trial_index=start + slot)
             block[slot] = models.objective_matrix(model.family, instance.observation)
             truths.append(instance.truth_left)
-        yield from zip(estimators.estimate_batch(block[:count], cset, config), truths)
+        runs = [estimators.estimate_batch(block[:count], cset, config) for config in configs]
+        yield from zip(truths, zip(*runs))
 
 
 def monte_carlo_risk(model: models.ModelSpec, cset: constraints.ConstraintSet,
@@ -153,7 +156,7 @@ def monte_carlo_risk(model: models.ModelSpec, cset: constraints.ConstraintSet,
     # loss is bounded by the projector-metric diameter of O(p, r)
     bound = math.sqrt(2.0 * model.rank) + 1e-9
     losses = []
-    for result, truth in run_trials(model, cset, config, trials):
+    for truth, (result,) in run_trials(model, cset, (config,), trials):
         dist = subspace_distance(result.frame, truth)
         if dist > bound:
             raise BoundViolated(f"loss {dist} exceeds diameter bound {bound}")
@@ -175,7 +178,7 @@ def theory_rate(model: models.ModelSpec, cset: constraints.ConstraintSet) -> flo
 
 
 # sweep knobs; the CLI nests its grid axes in this order, first outermost
-KNOBS = ("t", "sigma", "p1", "p2", "n", "p", "k", "r")
+KNOBS = ("t", "sigma", *models.DIMENSIONS, "k", "r")
 
 
 def sweep(grid, base_model: models.ModelSpec, cset: constraints.ConstraintSet,
@@ -184,7 +187,9 @@ def sweep(grid, base_model: models.ModelSpec, cset: constraints.ConstraintSet,
 
     Each grid entry maps knob names (among t, sigma, p1, p2, n, p, k, r) to
     values; unspecified knobs keep the base model's values.  Row i runs on
-    seed base_model.seed + i.  A t knob installs a flat spectrum at scale t.
+    seed base_model.seed + i.  A t or r knob installs a flat spectrum at
+    scale t.  Each row's constraint set is cset rebuilt at the row's p, r and
+    k, so a subspace basis carries over an r change and refuses a p or k one.
     """
     if not grid:
         raise ValueError("empty sweep grid")
@@ -197,8 +202,6 @@ def sweep(grid, base_model: models.ModelSpec, cset: constraints.ConstraintSet,
             raise ValueError(f"unknown sweep knobs {sorted(unknown)}")
         changes = {"seed": base_model.seed + index}
         rank = int(assignment.get("r", base_model.rank))
-        if "r" in assignment:
-            changes["rank"] = rank
         if "t" in assignment or "r" in assignment:
             scale = float(assignment.get("t", base_model.spectrum.scale))
             changes["spectrum"] = models.SpectrumSpec.flat(scale, rank)
@@ -208,7 +211,8 @@ def sweep(grid, base_model: models.ModelSpec, cset: constraints.ConstraintSet,
             if name in assignment:
                 changes[name] = int(assignment[name])
         model = dataclasses.replace(base_model, **changes)
-        points.append((model, cset.resized(model.frame_dim, rank, assignment.get("k"))))
+        points.append((model, dataclasses.replace(
+            cset, p=model.frame_dim, r=rank, k=assignment.get("k", cset.k))))
     rows = []
     for model, row_cset in points:
         risk = monte_carlo_risk(model, row_cset, config, trials)

@@ -49,7 +49,6 @@ class ModelSpec:
     """Family, dimensions, planted spectrum, noise level, and master seed."""
 
     family: str
-    rank: int
     spectrum: SpectrumSpec
     noise_sd: float
     seed: int
@@ -61,10 +60,6 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in _FRAME_DIMS:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.spectrum.rank != self.rank:
-            raise DimensionMismatch("spectrum length must equal rank")
         if not self.noise_sd > 0:
             raise ValueError("noise_sd must be positive")
         if not math.isfinite(self.noise_sd):
@@ -87,6 +82,11 @@ class ModelSpec:
             raise ValueError("clustering is a rank-one family")
         if self.family == WISHART and self.n < 2:
             raise ValueError("wishart needs n >= 2 rows for a sample covariance")
+
+    @property
+    def rank(self) -> int:
+        """The number of planted directions: the spectrum's length."""
+        return self.spectrum.rank
 
     @property
     def frame_dim(self) -> int:

@@ -181,7 +181,7 @@ def test_05_clustering_oracle_agreement(capsys):
     start = time.perf_counter()
     n, p = 10, 30
     t = math.sqrt(20.0 * (math.sqrt(p * n) + n))
-    model = models.ModelSpec("clustering", 1, SpectrumSpec.flat(t, 1), 1.0,
+    model = models.ModelSpec("clustering", SpectrumSpec.flat(t, 1), 1.0,
                              seed=0, n=n, p=p)
     cset = constraints.signs(n)
     iterative = EstimatorConfig()
@@ -226,7 +226,7 @@ def test_06_phase_transition_nonneg_rank_one(capsys):
     # pass does not hang on the seed.
     start = time.perf_counter()
     p1, p2 = 10, 100000
-    base = models.ModelSpec("denoising", 1, SpectrumSpec.flat(2.0, 1), 1.0,
+    base = models.ModelSpec("denoising", SpectrumSpec.flat(2.0, 1), 1.0,
                             seed=6, p1=p1, p2=p2)
     cset = constraints.nonneg(p1, 1)
     grid = [{"t": float(t)} for t in np.geomspace(40.0, 4000.0, 12)]
@@ -274,7 +274,7 @@ def test_07_sparse_rate_shape(capsys):
     ks = (5, 10, 20, 40)
     risks = []
     for k in ks:
-        model = models.ModelSpec("denoising", 1, SpectrumSpec.flat(60.0, 1),
+        model = models.ModelSpec("denoising", SpectrumSpec.flat(60.0, 1),
                                  1.0, seed=21, p1=200, p2=100)
         cset = constraints.sparse(200, 1, k)
         risks.append(harness.monte_carlo_risk(
@@ -305,7 +305,7 @@ def test_08_clustering_consistency_limit(capsys):
     out = {}
     for name, factor in (("weak", 0.1), ("strong", 20.0)):
         t = math.sqrt(factor * base_t2)
-        model = models.ModelSpec("clustering", 1, SpectrumSpec.flat(t, 1),
+        model = models.ModelSpec("clustering", SpectrumSpec.flat(t, 1),
                                  1.0, seed=11, n=n, p=p)
         out[name] = harness.monte_carlo_risk(
             model, cset, EstimatorConfig(), trials=200).mean_distance

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import sys
 import warnings
 
 import numpy as np
+import pytest
 
 from subspace_est import constraints, harness
 from subspace_est.cli import main
@@ -479,3 +481,87 @@ def test_minimal_invocations_resolve_every_default(tmp_path, monkeypatch):
         assert main(argv) == 0, argv[0]
         out = argv[argv.index("--out") + 1]
         assert (tmp_path / out / f"{argv[0]}_config.txt").read_text() == want, argv[0]
+
+
+def _basis_file(path, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((8, 4)))
+    write_matrix(path, q)
+    return f"subspace:qfile={path}"
+
+
+_SUBSPACE = ["--family", "wigner", "--p", "8", "--r", "1", "--t", "6", "--sigma", "1",
+             "--trials", "3"]
+
+
+def test_subspace_risk_digest_reads_the_basis(tmp_path):
+    digests = []
+    for seed in (1, 2):
+        out = tmp_path / f"risk{seed}"
+        constraint = _basis_file(tmp_path / f"Q{seed}.csv", seed)
+        assert main(["risk", *_SUBSPACE, "--constraint", constraint, "--out", str(out)]) == 0
+        digests.append(json.loads((out / "risk.json").read_text())["spec_digest"])
+    assert digests[0] != digests[1]
+
+
+def test_subspace_sweep_over_r_keeps_the_basis(tmp_path):
+    out = tmp_path / "sweep"
+    constraint = _basis_file(tmp_path / "Q.csv", 1)
+    argv = ["sweep", *_SUBSPACE, "--constraint", constraint, "--r-grid", "1,2"]
+    assert main([*argv, "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["r"], row["k"]) for row in rows] == [("1", "4"), ("2", "4")]
+
+
+def test_subspace_sweep_over_p_or_k_exit_two_before_any_trial(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(harness, "monte_carlo_risk", lambda *args: calls.append(args))
+    constraint = _basis_file(tmp_path / "Q.csv", 1)
+    for grid, message in ((["--p-grid", "8,10"], "subspace basis must be p x k"),
+                          (["--k-grid", "4,5"], "differs from the basis width 4")):
+        out = tmp_path / grid[0]
+        argv = ["sweep", *_SUBSPACE, "--constraint", constraint, *grid, "--out", str(out)]
+        assert main(argv) == 2, grid
+        assert not out.exists(), grid
+        assert message in capsys.readouterr().err, grid
+    assert calls == []
+
+
+_WIGNER_RISK = ["risk", "--family", "wigner", "--p", "6", "--r", "1", "--t", "4",
+                "--sigma", "1", "--constraint", "none", "--trials", "2"]
+
+
+# each case: files to write under tmp_path, argv ("{tmp}" is tmp_path), exit
+# code, and the start of the error message
+_REFUSALS = {
+    "bad typed value": ({}, [*_WIGNER_RISK, "--r", "x", "--out", "{tmp}/out"],
+                        2, "bad value for r: 'x'"),
+    "config line without =": ({"bad.txt": "family wigner\n"},
+                              ["risk", "--config", "{tmp}/bad.txt", "--out", "{tmp}/out"],
+                              2, "{tmp}/bad.txt:1: expected key=value"),
+    "missing required option": ({}, [*_WIGNER_RISK[:-2], "--out", "{tmp}/out"],
+                                2, "missing required option --trials"),
+    "uncreatable out": ({"file": ""}, [*_WIGNER_RISK, "--out", "{tmp}/file/out"],
+                        3, "cannot create output directory {tmp}/file/out"),
+    "sweep without a grid": ({}, ["sweep", *_WIGNER_RISK[1:], "--out", "{tmp}/out"],
+                             2, "sweep needs at least one <knob>_grid key"),
+    "sweep without t": ({}, ["sweep", "--family", "wigner", "--p", "6", "--r", "1",
+                             "--constraint", "none", "--trials", "2",
+                             "--sigma-grid", "1,2", "--out", "{tmp}/out"],
+                        2, "sweep needs t or t_grid"),
+    "estimate without family": ({"in/Y.csv": "# 2 2\n1,0\n0,1\n"},
+                                ["estimate", "--in", "{tmp}/in", "--r", "1",
+                                 "--constraint", "none", "--out", "{tmp}/out"],
+                                2, "--family not given and absent from {tmp}/in/"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_cli_refusal_exit_code_and_message(tmp_path, capsys, case):
+    files, argv, code, message = _REFUSALS[case]
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+    assert capsys.readouterr().err.startswith(f"error: {message.format(tmp=tmp_path)}")
+    assert not (tmp_path / "out").exists()

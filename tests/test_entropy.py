@@ -579,3 +579,11 @@ def test_dudley_nonneg_growth_high_dim():
 
     ratio = val(128) / val(32)
     assert 2.0 <= ratio <= 8.0
+
+
+# n = 4, d = 1 admits the 4 unit vectors and n = 8, d = 2 every one of its 28
+# supports, so a larger target forces every later draw through the rejection
+@pytest.mark.parametrize("n, d, most", [(4, 1, 4), (8, 2, 28)])
+def test_vg_codebook_rejects_draws_past_the_largest_code(n, d, most):
+    with pytest.raises(BudgetExhausted, match=f"found {most} of {most + 1} codewords"):
+        vg_codebook(n, d, budget=2000, target=most + 1)

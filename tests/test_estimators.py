@@ -63,7 +63,7 @@ def test_objective_matrix_families():
 
 
 def test_build_objective_matrix_cross_check():
-    spec = models.ModelSpec("wigner", 1, SpectrumSpec.flat(3.0, 1), 0.5,
+    spec = models.ModelSpec("wigner", SpectrumSpec.flat(3.0, 1), 0.5,
                             seed=1, p=6)
     inst = models.sample_instance(spec, constraints.unconstrained(6, 1))
     m = models.objective_matrix(spec.family, inst.observation)
@@ -137,7 +137,7 @@ def test_estimator_config_validation():
 
 
 def test_estimate_dispatch_and_determinism():
-    spec = models.ModelSpec("denoising", 1, SpectrumSpec.flat(30.0, 1), 1.0,
+    spec = models.ModelSpec("denoising", SpectrumSpec.flat(30.0, 1), 1.0,
                             seed=3, p1=12, p2=18)
     cset = constraints.signs(12)
     inst = models.sample_instance(spec, cset)
@@ -207,7 +207,7 @@ def _reference_iterative(m, cset, config):
 
 
 def _denoising_objective(cset, t, seed, p1, p2):
-    spec = models.ModelSpec("denoising", cset.r, SpectrumSpec.flat(t, cset.r),
+    spec = models.ModelSpec("denoising", SpectrumSpec.flat(t, cset.r),
                             1.0, seed=seed, p1=p1, p2=p2)
     inst = models.sample_instance(spec, cset)
     return models.objective_matrix(spec.family, inst.observation)

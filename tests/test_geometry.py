@@ -203,3 +203,15 @@ def test_distance_shape_mismatch():
     rng = np.random.default_rng(1)
     with pytest.raises(DimensionMismatch):
         subspace_distance(random_frame(rng, 5, 2), random_frame(rng, 6, 2))
+
+
+@pytest.mark.parametrize("values, conditioning, error, message", [
+    ((), 2.0, DimensionMismatch, "at least one value"),
+    ((2.0, 0.0), 2.0, ValueError, "values must be positive"),
+    ((2.0, -1.0), 2.0, ValueError, "values must be positive"),
+    ((2.0,), 1.0, ValueError, "conditioning bound must exceed 1"),
+    ((2.0,), 0.5, ValueError, "conditioning bound must exceed 1"),
+])
+def test_spectrum_spec_refusals(values, conditioning, error, message):
+    with pytest.raises(error, match=message):
+        SpectrumSpec(values=values, scale=2.0, conditioning=conditioning)

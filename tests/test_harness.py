@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from subspace_est import cli, constraints, harness, models
-from subspace_est.errors import BoundViolated, DegenerateInput, DimensionMismatch
+from subspace_est.errors import BoundViolated, DegenerateInput
 from subspace_est.estimators import EstimatorConfig
 from subspace_est.geometry import (SpectrumSpec, orthonormalize,
                                    subspace_distance)
@@ -17,7 +17,7 @@ from subspace_est.harness import (PhaseTransitionFit, RiskEstimate, SweepRow,
 
 
 def _wigner_model(p=8, t=6.0, sigma=1.0, seed=0, r=1):
-    return models.ModelSpec("wigner", r, SpectrumSpec.flat(t, r), sigma,
+    return models.ModelSpec("wigner", SpectrumSpec.flat(t, r), sigma,
                             seed=seed, p=p)
 
 
@@ -27,7 +27,7 @@ def _spectral():
 
 def _losses(model, cset, config, trials):
     return [subspace_distance(result.frame, truth)
-            for result, truth in run_trials(model, cset, config, trials)]
+            for truth, (result,) in run_trials(model, cset, (config,), trials)]
 
 
 def test_risk_estimate_validation():
@@ -81,13 +81,13 @@ def test_monte_carlo_risk_same_at_every_block_size(monkeypatch):
     config = EstimatorConfig(max_iter=40)
     trials = 7
     want = monte_carlo_risk(model, cset, config, trials)
-    want_runs = list(run_trials(model, cset, config, trials))
+    want_runs = list(run_trials(model, cset, (config,), trials))
     for size in (1, 3, trials):
         monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * 12 * 12 * size)
         assert monte_carlo_risk(model, cset, config, trials) == want, size
-        runs = list(run_trials(model, cset, config, trials))
+        runs = list(run_trials(model, cset, (config,), trials))
         assert len(runs) == trials, size
-        for (got, truth), (ref, ref_truth) in zip(runs, want_runs):
+        for (truth, (got,)), (ref_truth, (ref,)) in zip(runs, want_runs):
             assert np.array_equal(got.frame.values, ref.frame.values), size
             assert got.objective == ref.objective, size
             assert np.array_equal(truth.values, ref_truth.values), size
@@ -97,12 +97,12 @@ def test_monte_carlo_risk_same_at_every_block_size(monkeypatch):
 def test_monte_carlo_risk_golden_bits():
     # seed-0 risks of the benchmark's risk-lowsnr and risk-sparse-small
     # commands, recorded when every trial ran its own power loop
-    lowsnr = models.ModelSpec("denoising", 1, SpectrumSpec.flat(2.0, 1), 1.0,
+    lowsnr = models.ModelSpec("denoising", SpectrumSpec.flat(2.0, 1), 1.0,
                               seed=0, p1=200, p2=400)
     est = monte_carlo_risk(lowsnr, constraints.nonneg(200, 1), EstimatorConfig(), 10)
     assert est.mean_distance.hex() == "0x1.3f51c17c865cap+0"
     assert est.stderr.hex() == "0x1.50a7b32e2dcd0p-7"
-    sparse = models.ModelSpec("wigner", 2, SpectrumSpec.flat(8.0, 2), 1.0,
+    sparse = models.ModelSpec("wigner", SpectrumSpec.flat(8.0, 2), 1.0,
                               seed=0, p=40)
     est = monte_carlo_risk(sparse, constraints.sparse(40, 2, 6), EstimatorConfig(), 50)
     assert est.mean_distance.hex() == "0x1.de776964c489dp-1"
@@ -140,27 +140,27 @@ def test_spec_digest_tracks_inputs():
 
 def test_theory_rate_values():
     # frozen from the closed-form rate expressions, evaluated independently
-    den = models.ModelSpec("denoising", 2, SpectrumSpec.flat(60.0, 2), 1.0,
+    den = models.ModelSpec("denoising", SpectrumSpec.flat(60.0, 2), 1.0,
                            seed=0, p1=200, p2=100)
     assert theory_rate(den, constraints.sparse(200, 2, 10)) == \
         pytest.approx(0.16023784407961264, rel=1e-12)
-    wis = models.ModelSpec("wishart", 1, SpectrumSpec.flat(5.0, 1), 1.0,
+    wis = models.ModelSpec("wishart", SpectrumSpec.flat(5.0, 1), 1.0,
                            seed=0, n=200, p=50)
     assert theory_rate(wis, constraints.nonneg(50, 1)) == \
         pytest.approx(0.24494897427831777, rel=1e-12)
     basis = orthonormalize(np.random.default_rng(0).standard_normal((40, 6)))
-    wig = models.ModelSpec("wigner", 2, SpectrumSpec.flat(8.0, 2), 0.5,
+    wig = models.ModelSpec("wigner", SpectrumSpec.flat(8.0, 2), 0.5,
                            seed=0, p=40)
     assert theory_rate(wig, constraints.subspace(basis, 2)) == \
         pytest.approx(0.15309310892394862, rel=1e-12)
-    clu = models.ModelSpec("clustering", 1, SpectrumSpec.flat(30.0, 1), 1.0,
+    clu = models.ModelSpec("clustering", SpectrumSpec.flat(30.0, 1), 1.0,
                            seed=0, n=64, p=256)
     assert theory_rate(clu, constraints.signs(64)) == \
         pytest.approx(0.3022222222222222, rel=1e-12)
 
 
 def test_theory_rate_caps():
-    weak = models.ModelSpec("wigner", 2, SpectrumSpec.flat(1e-6, 2), 1.0,
+    weak = models.ModelSpec("wigner", SpectrumSpec.flat(1e-6, 2), 1.0,
                             seed=0, p=12)
     assert theory_rate(weak, constraints.nonneg(12, 2)) == 1.0
     assert theory_rate(weak, constraints.unconstrained(12, 2)) == math.sqrt(2.0)
@@ -219,7 +219,7 @@ def test_sweep_refuses_to_redimension_subspace():
     basis = orthonormalize(np.random.default_rng(1).standard_normal((8, 4)))
     cset = constraints.subspace(basis, 1)
     model = _wigner_model()
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="subspace basis"):
         sweep([{"p": 10}], model, cset, _spectral(), trials=2)
 
 
@@ -233,7 +233,7 @@ def test_sweep_risk_decreases_in_t():
 
 
 def test_sweep_csv_round_trip(tmp_path):
-    model = models.ModelSpec("denoising", 1, SpectrumSpec.flat(9.0, 1), 1.0,
+    model = models.ModelSpec("denoising", SpectrumSpec.flat(9.0, 1), 1.0,
                              seed=3, p1=12, p2=18)
     cset = constraints.sparse(12, 1, 4)
     rows = sweep([{"t": 5.0}, {"k": 6}], model, cset,

@@ -12,41 +12,34 @@ from subspace_est.geometry import (SpectrumSpec, orthonormalize,
                                    procrustes_align, subspace_distance)
 
 
-def flat_spec(family, t, sigma, seed=0, **dims):
-    return models.ModelSpec(family=family, rank=dims.pop("rank", 1),
-                            spectrum=SpectrumSpec.flat(t, dims.pop("r", None) or 1)
-                            if "spectrum" not in dims else dims.pop("spectrum"),
-                            noise_sd=sigma, seed=seed, **dims)
-
-
 def test_model_spec_validation():
     with pytest.raises(DimensionMismatch):
-        models.ModelSpec(family="denoising", rank=2,
+        models.ModelSpec(family="denoising",
                          spectrum=SpectrumSpec.flat(3.0, 2), noise_sd=1.0,
                          seed=0, p1=10)  # p2 missing
     with pytest.raises(ValueError):
-        models.ModelSpec(family="clustering", rank=2,
+        models.ModelSpec(family="clustering",
                          spectrum=SpectrumSpec.flat(3.0, 2), noise_sd=1.0,
                          seed=0, n=8, p=12)  # clustering is rank one
     with pytest.raises(ValueError):
-        models.ModelSpec(family="nosuch", rank=1,
+        models.ModelSpec(family="nosuch",
                          spectrum=SpectrumSpec.flat(3.0, 1), noise_sd=1.0, seed=0)
-    spec = models.ModelSpec(family="wishart", rank=2,
+    spec = models.ModelSpec(family="wishart",
                             spectrum=SpectrumSpec.flat(3.0, 2), noise_sd=1.0,
                             seed=0, n=30, p=6)
     assert spec.frame_dim == 6
     # a sample covariance needs two rows
     for n in (1, -4):
         with pytest.raises(ValueError):
-            models.ModelSpec(family="wishart", rank=1,
+            models.ModelSpec(family="wishart",
                              spectrum=SpectrumSpec.flat(3.0, 1), noise_sd=1.0,
                              seed=0, n=n, p=6)
-    assert models.ModelSpec(family="wishart", rank=1,
+    assert models.ModelSpec(family="wishart",
                             spectrum=SpectrumSpec.flat(3.0, 1), noise_sd=1.0,
                             seed=0, n=2, p=6).n == 2
     for sd in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError):
-            models.ModelSpec(family="wigner", rank=1,
+            models.ModelSpec(family="wigner",
                              spectrum=SpectrumSpec.flat(3.0, 1), noise_sd=sd,
                              seed=0, p=6)
 
@@ -59,7 +52,7 @@ _READ = {"denoising": {"p1": 10, "p2": 12}, "clustering": {"n": 10, "p": 12},
 @pytest.mark.parametrize("family", sorted(_READ))
 def test_model_spec_refuses_dimensions_the_family_does_not_read(family):
     def spec(**dims):
-        return models.ModelSpec(family, 1, SpectrumSpec.flat(3.0, 1), 1.0, seed=0, **dims)
+        return models.ModelSpec(family, SpectrumSpec.flat(3.0, 1), 1.0, seed=0, **dims)
 
     read = _READ[family]
     assert spec(**read).frame_dim == next(iter(read.values()))
@@ -74,7 +67,7 @@ def test_model_spec_refuses_dimensions_the_family_does_not_read(family):
 
 
 def test_denoising_noiseless_recovers_truth():
-    spec = models.ModelSpec(family="denoising", rank=2,
+    spec = models.ModelSpec(family="denoising",
                             spectrum=SpectrumSpec.flat(5.0, 2),
                             noise_sd=1e-12, seed=4, p1=20, p2=15)
     cset = constraints.unconstrained(20, 2)
@@ -85,7 +78,7 @@ def test_denoising_noiseless_recovers_truth():
 
 def test_denoising_observation_decomposition():
     # with the noise stream zeroed, Y must be exactly U diag(lam) V'
-    spec = models.ModelSpec(family="denoising", rank=2,
+    spec = models.ModelSpec(family="denoising",
                             spectrum=SpectrumSpec(values=(6.0, 4.0), scale=5.0),
                             noise_sd=1e-300, seed=9, p1=12, p2=8)
     cset = constraints.unconstrained(12, 2)
@@ -96,7 +89,7 @@ def test_denoising_observation_decomposition():
 
 def test_wishart_empirical_covariance():
     t, sigma, p = 3.0, 1.0, 5
-    spec = models.ModelSpec(family="wishart", rank=1,
+    spec = models.ModelSpec(family="wishart",
                             spectrum=SpectrumSpec.flat(t, 1), noise_sd=sigma,
                             seed=12, n=50000, p=p)
     cset = constraints.unconstrained(p, 1)
@@ -109,7 +102,7 @@ def test_wishart_empirical_covariance():
 
 
 def test_wigner_observation_symmetric():
-    spec = models.ModelSpec(family="wigner", rank=2,
+    spec = models.ModelSpec(family="wigner",
                             spectrum=SpectrumSpec.flat(4.0, 2), noise_sd=1.0,
                             seed=8, p=15)
     inst = models.sample_instance(spec, constraints.unconstrained(15, 2))
@@ -119,7 +112,7 @@ def test_wigner_observation_symmetric():
 
 def test_wigner_noise_scale():
     # diagonal entries have variance sigma^2 and so do off-diagonal entries
-    spec = models.ModelSpec(family="wigner", rank=1,
+    spec = models.ModelSpec(family="wigner",
                             spectrum=SpectrumSpec.flat(1e-300, 1),
                             noise_sd=2.0, seed=77, p=400)
     inst = models.sample_instance(spec, constraints.unconstrained(400, 1))
@@ -131,7 +124,7 @@ def test_wigner_noise_scale():
 
 
 def test_clustering_shapes_and_labels():
-    spec = models.ModelSpec(family="clustering", rank=1,
+    spec = models.ModelSpec(family="clustering",
                             spectrum=SpectrumSpec.flat(6.0, 1), noise_sd=1.0,
                             seed=5, n=12, p=30)
     cset = constraints.signs(12)
@@ -142,9 +135,9 @@ def test_clustering_shapes_and_labels():
 
 def test_clustering_is_rank_one_denoising_of_the_n_by_p_matrix():
     spectrum = SpectrumSpec.flat(6.0, 1)
-    clustering = models.ModelSpec(family="clustering", rank=1, spectrum=spectrum,
+    clustering = models.ModelSpec(family="clustering", spectrum=spectrum,
                                   noise_sd=1.3, seed=21, n=14, p=9)
-    denoising = models.ModelSpec(family="denoising", rank=1, spectrum=spectrum,
+    denoising = models.ModelSpec(family="denoising", spectrum=spectrum,
                                  noise_sd=1.3, seed=21, p1=14, p2=9)
     cset = constraints.signs(14)
     for trial in (0, 5):
@@ -156,7 +149,7 @@ def test_clustering_is_rank_one_denoising_of_the_n_by_p_matrix():
 
 
 def test_provided_truth_is_checked_against_constraint():
-    spec = models.ModelSpec(family="denoising", rank=1,
+    spec = models.ModelSpec(family="denoising",
                             spectrum=SpectrumSpec.flat(4.0, 1), noise_sd=1.0,
                             seed=2, p1=10, p2=6)
     cset = constraints.nonneg(10, 1)
@@ -169,7 +162,7 @@ def test_provided_truth_is_checked_against_constraint():
 
 
 def test_instance_determinism_and_stream_separation():
-    spec = models.ModelSpec(family="denoising", rank=2,
+    spec = models.ModelSpec(family="denoising",
                             spectrum=SpectrumSpec.flat(3.0, 2), noise_sd=1.0,
                             seed=42, p1=14, p2=9)
     cset = constraints.sparse(14, 2, 5)
@@ -276,3 +269,47 @@ def test_kl_denoising_fixed_above_residual_bound_raises(monkeypatch):
     monkeypatch.setattr(models, "procrustes_align", lambda a, b: (rotation, 0.0))
     with pytest.raises(BoundViolated):
         models.kl_denoising_fixed(ui, uj, v0, SpectrumSpec.flat(3.0, 1), 1.0)
+
+
+def _wigner(seed=0, p=6, r=1):
+    return models.ModelSpec("wigner", SpectrumSpec.flat(3.0, r), 1.0, seed=seed, p=p)
+
+
+def _frame(p, r, seed=0):
+    return orthonormalize(np.random.default_rng(seed).standard_normal((p, r)))
+
+
+_SHAPE_REFUSALS = {
+    "negative seed": (lambda: _wigner(seed=-1), ValueError, "seed must fit in 64 bits"),
+    "seed past 64 bits": (lambda: _wigner(seed=2 ** 64), ValueError,
+                          "seed must fit in 64 bits"),
+    "rank above the frame": (lambda: _wigner(p=3, r=4), DimensionMismatch,
+                             "rank exceeds p"),
+    "constraint of another ambient": (
+        lambda: models.sample_instance(_wigner(), constraints.unconstrained(7, 1)),
+        DimensionMismatch, "constraint ambient 7 x 1 does not match model"),
+    "constraint of another rank": (
+        lambda: models.sample_instance(_wigner(p=6, r=2), constraints.unconstrained(6, 1)),
+        DimensionMismatch, "constraint ambient 6 x 1 does not match model"),
+    "wishart KL frames": (
+        lambda: models.kl_spiked_wishart(_frame(6, 1), _frame(6, 2), 3.0, 1.0, 10),
+        DimensionMismatch, "frames must share a shape"),
+    "denoising KL frames": (
+        lambda: models.kl_denoising_fixed(_frame(6, 1), _frame(5, 1), _frame(4, 1),
+                                          SpectrumSpec.flat(3.0, 1), 1.0),
+        DimensionMismatch, "frames must share a shape"),
+    "denoising KL right frame": (
+        lambda: models.kl_denoising_fixed(_frame(6, 2), _frame(6, 2, 1), _frame(4, 1),
+                                          SpectrumSpec.flat(3.0, 2), 1.0),
+        DimensionMismatch, "right frame width must match rank"),
+    "generic KL shapes": (
+        lambda: models.kl_gaussian_generic(np.zeros(2), np.eye(2), np.zeros(3), np.eye(3)),
+        DimensionMismatch, "mean/covariance shapes are inconsistent"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHAPE_REFUSALS))
+def test_spec_and_shape_refusals(case):
+    build, error, message = _SHAPE_REFUSALS[case]
+    with pytest.raises(error, match=message):
+        build()

@@ -3,7 +3,7 @@ import dataclasses
 import pathlib
 
 import subspace_est
-from subspace_est import estimators, models
+from subspace_est import constraints, estimators, models
 
 
 def test_every_export_resolves():
@@ -88,3 +88,20 @@ def test_trial_path_keeps_no_derivable_state():
     assert [f.name for f in dataclasses.fields(models.SampledInstance)] == [
         "observation", "truth_left", "truth_right"]
     assert "mean" not in {f.name for f in dataclasses.fields(models.ModelSpec)}
+
+
+def test_each_dimension_is_stated_once():
+    # the rank is the spectrum's length, a constraint set is re-dimensioned
+    # through its own constructor, the sweep knobs name the model dimensions
+    # by the models table, and the oracle samples each block once
+    assert "rank" not in {f.name for f in dataclasses.fields(models.ModelSpec)}
+    assert not hasattr(constraints.ConstraintSet, "resized")
+    package = pathlib.Path(subspace_est.__file__).parent
+    tree = ast.parse((package / "harness.py").read_text())
+    knobs = next(n.value for n in ast.walk(tree) if isinstance(n, ast.Assign)
+                 and [ast.unparse(t) for t in n.targets] == ["KNOBS"])
+    assert "*models.DIMENSIONS" in ast.unparse(knobs)
+    tree = ast.parse((package / "cli.py").read_text())
+    oracle = next(n for n in ast.walk(tree)
+                  if isinstance(n, ast.FunctionDef) and n.name == "_cmd_oracle")
+    assert _calls(oracle, {"run_trials"}) == ["run_trials"]
