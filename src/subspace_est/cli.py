@@ -240,7 +240,7 @@ def _cmd_estimate(resolved: dict) -> dict:
     return {"U_hat.csv": result.frame.values,
             "report.json": {"converged": result.converged, "d_to_truth": d_to_truth,
                             "iterations": result.iterations,
-                            "objective": result.objective}}
+                            "objective": result.objective, "status": result.status}}
 
 
 def _cmd_risk(resolved: dict) -> dict:

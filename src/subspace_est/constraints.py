@@ -226,6 +226,20 @@ def _project_nonneg_stack(s: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(members.transpose(0, 2, 1))
 
 
+def _row_norms(s) -> np.ndarray:
+    """np.linalg.norm(s, axis=2) of a (B, p, r) stack, bit for bit.  numpy
+    sums fewer than 8 terms in order, so below r = 8 the squares are summed
+    by r - 1 strided adds, which skip its wrappers; from 8 on it pairs them,
+    and its reduction is called directly."""
+    squares = s * s
+    if s.shape[2] >= 8:
+        return np.sqrt(np.add.reduce(squares, axis=2))
+    total = squares[:, :, 0]
+    for j in range(1, s.shape[2]):
+        total = total + squares[:, :, j]
+    return np.sqrt(total)
+
+
 def project_batch(cset: ConstraintSet, stack) -> tuple:
     """Map every slice of a (B, p, r) stack to a member of the constraint set.
 
@@ -258,12 +272,12 @@ def project_batch(cset: ConstraintSet, stack) -> tuple:
         q = cset.basis.values
         return orthonormalize_batch(q @ (q.T @ s))
     if cset.kind == SPARSE:
-        norms = np.linalg.norm(s, axis=2)
-        order = np.argsort(-norms, axis=1, kind="stable")
-        keep = np.sort(order[:, : cset.k], axis=1)[:, :, None]
-        block, ok = orthonormalize_batch(np.take_along_axis(s, keep, axis=1))
+        order = np.argsort(-_row_norms(s), axis=1, kind="stable")
+        keep = np.sort(order[:, : cset.k], axis=1)
+        slices = np.arange(count)[:, None]
+        block, ok = orthonormalize_batch(s[slices, keep])
         members = np.zeros_like(s)
-        np.put_along_axis(members, keep, block, axis=1)
+        members[slices, keep] = block
         return members, ok
     members = _project_nonneg_rank_one(s) if cset.r == 1 else _project_nonneg_stack(s)
     return members, np.ones(count, dtype=bool)

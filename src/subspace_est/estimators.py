@@ -30,6 +30,12 @@ _METHODS = (ITERATIVE, EXHAUSTIVE, SPECTRAL)
 SPECTRAL_INIT = "spectral"
 RANDOM_INIT = "random"
 
+# why a power loop stopped: the step test was met, the iterate repeated an
+# earlier one bit for bit, or max_iter ran out
+CONVERGED = "converged"
+CYCLED = "cycled"
+CAPPED = "capped"
+
 _EXHAUSTIVE_LIMIT = 20
 _MAX_RESTARTS = 5
 
@@ -54,14 +60,20 @@ class EstimatorConfig:
 @dataclass
 class IterationResult:
     """An estimate: the frame, the best objective value tr(U' M U) the
-    method visited (the frame's own value), the power steps taken, whether
-    the step test was met, and the silent restarts after a rank collapse."""
+    method visited (the frame's own value), the power steps taken, why the
+    steps stopped (CONVERGED, CYCLED or CAPPED), and the silent restarts
+    after a rank collapse."""
 
     frame: OrthonormalFrame
     objective: float
     iterations: int = 0
-    converged: bool = False
+    status: str = CAPPED
     restarts: int = 0
+
+    @property
+    def converged(self) -> bool:
+        """Whether the step test was met."""
+        return self.status == CONVERGED
 
 
 def objective(frame: OrthonormalFrame, m: np.ndarray) -> float:
@@ -120,22 +132,32 @@ def iterative_projection_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
     """Projected power iteration on every slice of a (B, p, p) stack:
     alternate multiply-by-M, thin QR, and constraint projection.
 
-    A slice stops once successive iterates a (new) and b (old) are closer
-    than config.tol in the projector distance or after max_iter rounds.  The
-    step is measured as sqrt(2) ||a - b (b'a)||_F, which equals
-    ||aa' - bb'||_F (both squares are 2 (r - ||b'a||_F^2)) in O(p r^2) and
-    keeps full relative precision near zero.  Each returned frame is the
-    iterate of best objective value its slice visited, not necessarily the
-    last one, and the result carries that value.  A rank collapse restarts
-    the slice's iteration from a fresh random member, at most five times,
-    before raising RankDeficient; the result counts the restarts.
+    A slice stops, and its result says why, at the first of: successive
+    iterates a (new) and b (old) closer than config.tol in the projector
+    distance (CONVERGED); an iterate equal bit for bit to the slice's
+    checkpoint (CYCLED); max_iter rounds (CAPPED).  The step is measured as
+    sqrt(2) ||a - b (b'a)||_F, which equals ||aa' - bb'||_F (both squares
+    are 2 (r - ||b'a||_F^2)) in O(p r^2) and keeps full relative precision
+    near zero.  Each returned frame is the iterate of best objective value
+    its slice visited, not necessarily the last one, and the result carries
+    that value.  A rank collapse restarts the slice's iteration from a fresh
+    random member, at most five times, before raising RankDeficient; the
+    result counts the restarts.
+
+    The checkpoint is Brent's: the iterate after each power-of-two step,
+    voided by a restart until the next one.  The step from an iterate to
+    the next is deterministic, so once an iterate repeats the checkpoint,
+    the loop would only go round a cycle whose every member it has visited
+    and whose every step failed the test: the best frame, its value, the
+    step test's outcome and the restarts are final, and running on to
+    max_iter would change only the step count.
 
     All slices run as one stacked block.  The spectral init is one stacked
     eigh and projection; the random init is one draw that every slice starts
     from.  Each step is one stacked product, QR and projection; a returned
     frame is checked once, as an OrthonormalFrame.  A slice leaves the block
-    when it converges or reaches max_iter, and a restart touches only its own
-    slice.  Each result is bit for bit the slice's result in a block of one.
+    when it stops, and a restart touches only its own slice.  Each result is
+    bit for bit the slice's result in a block of one.
     """
     if config is None:
         config = EstimatorConfig()
@@ -152,15 +174,18 @@ def iterative_projection_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
     mu = ms @ cur
     values = (cur * mu).sum(axis=(1, 2))
     best, best_val = cur.copy(), values
-    iterations = np.zeros(count, dtype=int)
+    # every live slot steps once a pass, so all have taken the same steps
+    steps = 0
     restarts = np.zeros(count, dtype=int)
+    # Brent's checkpoint and its objective; no slot holds one before step 1
+    mark, mark_val, marked = cur, values, np.zeros(count, dtype=bool)
     trial = np.arange(count)  # the trial whose loop each slot holds
     results = [None] * count
     while trial.size:
         lifted, ok = orthonormalize_batch(mu)
         nxt, fits = constraints.project_batch(cset, lifted)
         ok &= fits
-        for slot in np.flatnonzero(~ok):
+        for slot in () if ok.all() else np.flatnonzero(~ok):
             restarts[slot] += 1
             if restarts[slot] > _MAX_RESTARTS:
                 raise RankDeficient(
@@ -175,18 +200,27 @@ def iterative_projection_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
         # a restart takes no step test
         step = np.sqrt(2.0) * frobenius_norms(nxt - cur @ (cur.transpose(0, 2, 1) @ nxt))
         converged = ok & (step < config.tol)
+        # the objectives screen the candidates; the bytes tell +0.0 from -0.0
+        marked &= ok
+        cycled = marked & (values == mark_val)
+        for slot in np.flatnonzero(cycled) if cycled.any() else ():
+            cycled[slot] = nxt[slot].tobytes() == mark[slot].tobytes()
         cur = nxt
-        iterations += 1
-        finished = converged | (iterations >= config.max_iter)
+        steps += 1
+        if steps & (steps - 1) == 0:
+            mark, mark_val, marked = nxt, values, np.ones(trial.size, dtype=bool)
+        finished = converged | cycled | (steps >= config.max_iter)
         if not finished.any():
             continue
         for slot in np.flatnonzero(finished):
+            status = CONVERGED if converged[slot] else CYCLED if cycled[slot] else CAPPED
             results[int(trial[slot])] = IterationResult(
                 OrthonormalFrame(best[slot].copy()), float(best_val[slot]),
-                int(iterations[slot]), bool(converged[slot]), int(restarts[slot]))
+                steps, status, int(restarts[slot]))
         live = ~finished
-        ms, cur, mu, best, best_val, iterations, restarts, trial = (
-            arr[live] for arr in (ms, cur, mu, best, best_val, iterations, restarts, trial))
+        ms, cur, mu, best, best_val, restarts, mark, mark_val, marked, trial = (
+            arr[live] for arr in (ms, cur, mu, best, best_val, restarts,
+                                  mark, mark_val, marked, trial))
     return results
 
 
@@ -240,7 +274,7 @@ def estimate_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
         for slot, m in enumerate(ms):
             frames[slot] = exhaustive_argmax(cset, m).values
     values = (frames * (ms @ frames)).sum(axis=(1, 2))
-    return [IterationResult(OrthonormalFrame(frame), value, 0, True)
+    return [IterationResult(OrthonormalFrame(frame), value, 0, CONVERGED)
             for frame, value in zip(frames, values.tolist())]
 
 

@@ -20,6 +20,7 @@ see a draw equal to the center as near zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,16 +141,33 @@ def orthonormalize_batch(stack) -> tuple:
 
     Returns (frames, full_rank).  full_rank[i] is False when the smallest
     singular value of slice i falls at or below 1e-12 times its largest;
-    frames[i] is then meaningless.  The r x r factors carry the singular
-    values of their slices, so the rank test needs no p x r decomposition.
-    Each slice comes out bit for bit as a call on that slice alone.
+    frames[i] is then meaningless.  The r x r factor R of a slice carries its
+    singular values, and the rank test needs no p x r decomposition: since
+    |det R| = prod |R_ii| <= s_min s_max^(r-1), the ratio s_min / s_max is
+    at least prod(|R_ii| / ||R||_F), and a slice where that bound exceeds
+    twice the floor is full rank with room for the rounding of both sides.
+    Only slices the bound cannot settle (zero, non-finite, badly scaled or
+    near the floor) take the singular values of R.  At r = 1 the bound is
+    exact, so only R_00 = 0 reaches them.  Each slice comes out bit for bit
+    as a call on that slice alone.
     """
     q, rfac = np.linalg.qr(stack)
-    sv = np.linalg.svd(rfac, compute_uv=False)
-    deficient = (sv[:, 0] == 0.0) | (sv[:, -1] <= _RANK_TOL * sv[:, 0])
-    signs = np.sign(np.diagonal(rfac, axis1=1, axis2=2))
-    signs[signs == 0] = 1.0
-    return q * signs[:, None, :], ~deficient
+    count, r = rfac.shape[0], rfac.shape[-1]
+    diag = np.diagonal(rfac, axis1=1, axis2=2)
+    flat = rfac.reshape(count, r * r)
+    # overflowing, NaN and zero slices read as unsettled, not as warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        squares = np.vecdot(flat, flat)
+        bound = np.multiply.reduce(np.abs(diag) / np.sqrt(squares)[:, None], axis=1)
+    # below the normal range the squares lose digits, so the bound is not trusted
+    full_rank = (bound > 2.0 * _RANK_TOL) & (squares >= sys.float_info.min)
+    if not full_rank.all():
+        unsettled = np.flatnonzero(~full_rank)
+        sv = np.linalg.svd(rfac[unsettled], compute_uv=False)
+        full_rank[unsettled] = ~((sv[:, 0] == 0.0) | (sv[:, -1] <= _RANK_TOL * sv[:, 0]))
+    # multiplying by -1 or 1 is exact, so this is q * sign(diag) with sign(0) := 1
+    q *= np.where(diag < 0, -1.0, 1.0)[:, None, :]
+    return q, full_rank
 
 
 def _orthonormal_or_raise(stack) -> np.ndarray:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constraints
-from .errors import (BoundViolated, ConstraintViolation, DimensionMismatch,
-                     NotPositiveDefinite, TooFewRows)
+from .errors import (BoundViolated, ConstraintViolation, DegenerateInput,
+                     DimensionMismatch, NotPositiveDefinite, TooFewRows)
 from .geometry import OrthonormalFrame, SpectrumSpec, procrustes_align
 
 DENOISING = "denoising"
@@ -167,17 +167,25 @@ def sample_instance(spec: ModelSpec, cset: constraints.ConstraintSet,
 def objective_matrix(family: str, observation: np.ndarray) -> np.ndarray:
     """Symmetric matrix whose constrained top eigenspace is the estimand:
     the Gram matrix Y Y' (denoising, clustering), the sample covariance
-    (wishart), or the symmetrized observation (wigner)."""
+    (wishart), or the symmetrized observation (wigner).  Raises
+    DegenerateInput where an entry overflows or is not finite."""
     y = np.asarray(observation, dtype=float)
-    if family in (DENOISING, CLUSTERING):
-        return y @ y.T
-    if family == WISHART:
-        return sample_covariance(y)
-    if family == WIGNER:
-        if y.ndim != 2 or y.shape[0] != y.shape[1]:
-            raise DimensionMismatch(f"wigner needs a square observation, got shape {y.shape}")
-        return (y + y.T) / 2.0
-    raise DimensionMismatch(f"unknown family {family!r}")
+    # an overflow is reported once, as the typed error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if family in (DENOISING, CLUSTERING):
+            m = y @ y.T
+        elif family == WISHART:
+            m = sample_covariance(y)
+        elif family == WIGNER:
+            if y.ndim != 2 or y.shape[0] != y.shape[1]:
+                raise DimensionMismatch(
+                    f"wigner needs a square observation, got shape {y.shape}")
+            m = (y + y.T) / 2.0
+        else:
+            raise DimensionMismatch(f"unknown family {family!r}")
+    if not np.isfinite(m).all():
+        raise DegenerateInput("objective matrix has non-finite entries")
+    return m
 
 
 def sample_covariance(rows: np.ndarray) -> np.ndarray:

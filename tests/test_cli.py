@@ -76,7 +76,7 @@ def test_estimate_noiseless_round_trip(tmp_path):
     assert main(["estimate", "--in", str(sim), "--out", str(est)]) == 0
     report = json.loads((est / "report.json").read_text())
     assert report["d_to_truth"] <= 1e-6
-    assert report["converged"] is True
+    assert report["converged"] is True and report["status"] == "converged"
     u = read_matrix(est / "U_hat.csv")
     assert u.shape == (12, 1)
 
@@ -311,6 +311,26 @@ def test_estimate_non_finite_observation_exit_three(tmp_path, capsys):
     assert main(["estimate", "--in", str(sim), "--out", str(tmp_path / "est")]) == 3
     assert "malformed matrix file" in capsys.readouterr().err
     assert not (tmp_path / "est").exists()
+
+
+def test_overflowing_objective_exit_four(tmp_path, capsys):
+    # Y Y' overflows: a typed error, not numpy's warning and an eigh failure
+    risk = tmp_path / "risk"
+    argv = ["risk", "--family", "denoising", "--p1", "8", "--p2", "9", "--r", "1",
+            "--t", "1e200", "--sigma", "1", "--constraint", "none", "--trials", "3",
+            "--out", str(risk)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "DegenerateInput" in err and "Traceback" not in err
+    assert not risk.exists()
+    sim = tmp_path / "sim"
+    assert _simulate(sim) == 0
+    write_matrix(sim / "Y.csv", np.full((40, 30), 1e200))
+    est = tmp_path / "est"
+    assert main(["estimate", "--in", str(sim), "--out", str(est)]) == 4
+    err = capsys.readouterr().err
+    assert "DegenerateInput" in err and "Traceback" not in err
+    assert not est.exists()
 
 
 def test_estimate_wigner_on_non_square_observation_exit_two(tmp_path, capsys):

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subspace_est import constraints
 from subspace_est.constraints import (ConstraintSet, as_generator, contains,
                                       nonneg, parse_constraint, project, project_batch,
                                       random_member, random_members, signs,
                                       sparse, subspace, unconstrained)
 from subspace_est.errors import DegenerateInput, DimensionMismatch
-from subspace_est.geometry import OrthonormalFrame, orthonormalize, subspace_distance
+from subspace_est.geometry import (OrthonormalFrame, orthonormalize,
+                                   orthonormalize_batch, subspace_distance)
 from subspace_est.matio import write_matrix
 
 
@@ -99,6 +101,27 @@ def test_sparse_projection_keeps_largest_rows():
     # surviving block is the renormalized original
     want = np.array([0.9, -0.4]) / np.linalg.norm([0.9, -0.4])
     assert np.allclose(out[[1, 3]], want, atol=1e-12)
+
+
+def test_sparse_row_selection_matches_stable_norm_order():
+    # the kept rows are argsort(-np.linalg.norm(s, axis=2), kind="stable")[:k],
+    # tied and zero rows included, and the row norms are np.linalg.norm's bits
+    rng = np.random.default_rng(8)
+    for r in range(1, 11):
+        p, k = 3 * r + 5, r + 2
+        stack = rng.standard_normal((5, p, r)) * rng.choice([1e-3, 1.0, 1e3], size=(5, p, 1))
+        stack[1, 3] = stack[1, 6]
+        stack[2, :p // 2] = 0.0
+        stack[3, ::2] = stack[3, 0]
+        stack[4, k - 1:k + 2] = -stack[4, k - 1]
+        norms = np.linalg.norm(stack, axis=2)
+        assert constraints._row_norms(stack).tobytes() == norms.tobytes(), r
+        keep = np.sort(np.argsort(-norms, axis=1, kind="stable")[:, :k], axis=1)[:, :, None]
+        block, want_ok = orthonormalize_batch(np.take_along_axis(stack, keep, axis=1))
+        want = np.zeros_like(stack)
+        np.put_along_axis(want, keep, block, axis=1)
+        members, ok = project_batch(sparse(p, r, k), stack)
+        assert members.tobytes() == want.tobytes() and np.array_equal(ok, want_ok), r
 
 
 def test_nonneg_higher_rank_projection_feasible():

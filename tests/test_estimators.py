@@ -168,16 +168,19 @@ def _reference_orthonormalize(m):
     return OrthonormalFrame(q * signs)
 
 
-def _reference_iterative(m, cset, config):
+def _reference_iterative(m, cset, config, exit_on_repeat=True):
     """The power loop before the lean step: a p x p projector-distance step
     test, a separate objective() matmul, and SVD-then-QR orthonormalization,
-    started from the public one-slice init."""
+    started from the public one-slice init.  With exit_on_repeat it keeps
+    Brent's checkpoint, the iterate after each power-of-two step, voided by a
+    restart, and stops as "cycled" when an iterate repeats it bit for bit;
+    without, it runs to the cap, as the loop did before that exit."""
     if config.init == "random":
         current = constraints.random_member(cset, config.init_seed)
     else:
         current = constraints.project(cset, spectral_estimate(m, cset.r))
     best, best_val = current, objective(current, m)
-    iterations, converged, restarts = 0, False, 0
+    iterations, status, restarts, mark = 0, "capped", 0, None
     while iterations < config.max_iter:
         try:
             lifted = _reference_orthonormalize(m @ current.values)
@@ -192,6 +195,9 @@ def _reference_iterative(m, cset, config):
             if value > best_val:
                 best, best_val = current, value
             iterations += 1
+            mark = None
+            if iterations & (iterations - 1) == 0:
+                mark = (current.values.tobytes(), value)
             continue
         value = objective(nxt, m)
         if value > best_val:
@@ -201,9 +207,36 @@ def _reference_iterative(m, cset, config):
         current = nxt
         iterations += 1
         if step < config.tol:
-            converged = True
+            status = "converged"
             break
-    return estimators.IterationResult(best, best_val, iterations, converged, restarts)
+        if exit_on_repeat and mark == (current.values.tobytes(), value):
+            status = "cycled"
+            break
+        if iterations & (iterations - 1) == 0:
+            mark = (current.values.tobytes(), value)
+    return estimators.IterationResult(best, best_val, iterations, status, restarts)
+
+
+def _references(m, cset, config):
+    """The checkpoint reference and the cap-only reference on one matrix."""
+    return (_reference_iterative(m, cset, config),
+            _reference_iterative(m, cset, config, exit_on_repeat=False))
+
+
+def _assert_matches_references(got, refs, label):
+    """got equals the checkpoint reference in every field, and the cap-only
+    reference in all but the step count, which only a cycled loop cuts."""
+    want, capped = refs
+    for ref in (want, capped):
+        assert np.array_equal(got.frame.values, ref.frame.values), label
+        assert got.objective == ref.objective, label
+        assert got.converged == ref.converged, label
+        assert got.restarts == ref.restarts, label
+    assert (got.iterations, got.status) == (want.iterations, want.status), label
+    if got.status == "cycled":
+        assert got.iterations < capped.iterations, label
+    else:
+        assert (got.iterations, got.status) == (capped.iterations, capped.status), label
 
 
 def _denoising_objective(cset, t, seed, p1, p2):
@@ -235,23 +268,18 @@ def _equivalence_cases():
 
 
 def test_iterative_matches_reference_loop_bit_for_bit():
-    seen_converged = set()
+    seen = set()
     for name, m, cset, knobs in _equivalence_cases():
         cfg = EstimatorConfig(**knobs)
         got = estimate(m, cset, cfg)
-        want = _reference_iterative(m, cset, cfg)
-        assert np.array_equal(got.frame.values, want.frame.values), name
-        assert got.objective == want.objective, name
-        assert got.iterations == want.iterations, name
-        assert got.converged == want.converged, name
-        assert got.restarts == want.restarts, name
+        _assert_matches_references(got, _references(m, cset, cfg), name)
         assert (got.restarts >= 1) if name == "restart" else (got.restarts == 0), name
-        seen_converged.add(got.converged)
+        seen.add(got.status)
         if name == "nonneg r=1 t=2":
-            assert not got.converged and got.iterations == 200
+            assert (got.status, got.iterations) == ("capped", 200)
         if name == "iteration cap":
-            assert not got.converged and got.iterations == 7
-    assert seen_converged == {True, False}
+            assert (got.status, got.iterations) == ("capped", 7)
+    assert seen == {"converged", "capped"}
 
 
 def _spiked(m, cset, seed):
@@ -269,22 +297,15 @@ def test_engine_blocks_match_reference_loop_bit_for_bit():
         cfg = EstimatorConfig(**knobs)
         stack = np.stack([_spiked(m, cset, 1), m, _spiked(m, cset, 2),
                           _spiked(m, cset, 3)])
-        wants = [_reference_iterative(one, cset, cfg) for one in stack]
-        for size in (1, 2, 3, len(stack)):
-            for start in range(0, len(stack), size):
-                block = stack[start:start + size].copy()
-                gots = iterative_projection_batch(block, cset, cfg)
-                assert len(gots) == len(block)
-                if size == len(stack):
-                    mixed.add((name, frozenset(g.converged for g in gots)))
-                for offset, got in enumerate(gots):
-                    want = wants[start + offset]
-                    label = (name, size, start + offset)
-                    assert np.array_equal(got.frame.values, want.frame.values), label
-                    assert got.objective == want.objective, label
-                    assert got.iterations == want.iterations, label
-                    assert got.converged == want.converged, label
-                    assert got.restarts == want.restarts, label
+        refs = [_references(one, cset, cfg) for one in stack]
+        for size, start, block in _blocks(stack):
+            gots = iterative_projection_batch(block, cset, cfg)
+            assert len(gots) == len(block)
+            if size == len(stack):
+                mixed.add((name, frozenset(g.converged for g in gots)))
+            for offset, got in enumerate(gots):
+                _assert_matches_references(got, refs[start + offset],
+                                           (name, size, start + offset))
     # a block that runs one loop to the cap while others leave it early
     assert ("nonneg r=1 t=2", frozenset({True, False})) in mixed
     assert ("iteration cap", frozenset({True, False})) in mixed
@@ -393,19 +414,56 @@ def test_exhaustive_method_on_block_matches_one_slice_path():
 
 def test_random_init_on_block_matches_one_slice_path():
     stack = _spectral_stack()
+    seen = set()
     for cset in _every_kind():
         config = EstimatorConfig(init="random", init_seed=3, max_iter=25)
-        wants = [_reference_iterative(m, cset, config) for m in stack]
+        refs = [_references(m, cset, config) for m in stack]
         for size, start, block in _blocks(stack):
-            gots = iterative_projection_batch(block, cset, config)
-            for offset, got in enumerate(gots):
-                want = wants[start + offset]
-                label = (cset.kind, size, start + offset)
-                assert np.array_equal(got.frame.values, want.frame.values), label
-                assert got.objective == want.objective, label
-                assert got.iterations == want.iterations, label
-                assert got.converged == want.converged, label
-                assert got.restarts == want.restarts, label
+            for offset, got in enumerate(iterative_projection_batch(block, cset, config)):
+                _assert_matches_references(got, refs[start + offset],
+                                           (cset.kind, size, start + offset))
+                seen.add(got.status)
+    # a signs loop goes round a cycle, which its checkpoint cuts short
+    assert seen == {"converged", "cycled", "capped"}
+
+
+def test_restart_voids_the_checkpoint(monkeypatch):
+    # sign vectors h1/2 -> h2/2 on Hadamard rows, and M h2 = 0: steps 1 and 2
+    # reach h1/2 and h2/2 (the checkpoint), step 3 restarts onto h2/2 again,
+    # which must not read as a cycle, step 4 restarts onto h4/2, and step 5
+    # converges on that eigenvector
+    h1, h2, h3, h4 = np.array([[1.0, 1, 1, 1], [1, -1, 1, -1],
+                               [1, 1, -1, -1], [1, -1, -1, 1]])
+    m = np.column_stack([2.0 * h2, 0.0 * h2, 3.0 * h1, 10.0 * h4]) @ np.stack(
+        [h1, h2, h3, h4]) / 4.0
+    assert not (m @ h2).any()
+    draws = {0: h3, 1000003: h2, 2000006: h4}
+    monkeypatch.setattr(constraints, "random_member",
+                        lambda cset, seed: OrthonormalFrame(draws[seed][:, None] / 2.0))
+    cset, cfg = constraints.signs(4), EstimatorConfig(init="random")
+    got = iterative_projection_batch(m[None], cset, cfg)[0]
+    _assert_matches_references(got, _references(m, cset, cfg), "restart after checkpoint")
+    assert (got.status, got.iterations, got.restarts) == ("converged", 5, 2)
+    assert np.array_equal(got.frame.values[:, 0], h4 / 2.0) and got.objective == 10.0
+
+
+def test_sparse_benchmark_block_cycles_and_matches_cap_only_loop():
+    # the seed-0 block of wigner p=40 sparse:k=6 r=2 t=8: some loops go round
+    # a cycle, leave it early, and keep every other field of the capped loop
+    model = models.ModelSpec("wigner", SpectrumSpec.flat(8.0, 2), 1.0, seed=0, p=40)
+    cset = constraints.parse_constraint("sparse:k=6", 40, 2)
+    stack = np.stack([
+        objective_matrix("wigner", models.sample_instance(model, cset, trial_index=i).observation)
+        for i in range(50)])
+    cfg = EstimatorConfig()
+    refs = [_references(m, cset, cfg) for m in stack]
+    for size in (1, 2, 3, len(stack)):
+        gots = []
+        for start in range(0, len(stack), size):
+            gots += iterative_projection_batch(stack[start:start + size].copy(), cset, cfg)
+        for index, got in enumerate(gots):
+            _assert_matches_references(got, refs[index], (size, index))
+    assert any(g.status == "cycled" and g.iterations < 200 for g in gots)
 
 
 def test_spectral_step_without_member_raises_degenerate():

@@ -7,8 +7,8 @@ import pytest
 from subspace_est.errors import DimensionMismatch, RankDeficient
 from subspace_est.geometry import (OrthonormalFrame, SpectrumSpec,
                                    check_orthonormal, orthonormalize,
-                                   procrustes_align, quadratic_form_gap,
-                                   subspace_distance)
+                                   orthonormalize_batch, procrustes_align,
+                                   quadratic_form_gap, subspace_distance)
 
 
 def random_frame(rng, p, r):
@@ -71,6 +71,71 @@ def test_orthonormalize_rank_threshold_is_singular_value_ratio():
                     orthonormalize(m)
             else:
                 assert orthonormalize(m).r == r
+
+
+def _svd_rank_rule(stack):
+    """The thin QR with diag(R) >= 0 as q * sign(diag R), sign(0) := 1, and
+    the rank test from the singular values of every r x r factor R."""
+    q, rfac = np.linalg.qr(stack)
+    signs = np.sign(np.diagonal(rfac, axis1=1, axis2=2))
+    signs[signs == 0] = 1.0
+    sv = np.linalg.svd(rfac, compute_uv=False)
+    return q * signs[:, None, :], ~((sv[:, 0] == 0.0) | (sv[:, -1] <= 1e-12 * sv[:, 0]))
+
+
+def _adversarial_stack(rng, r):
+    """Gaussian slices at three scales, exactly deficient slices, and slices
+    of condition number near the 1e12 floor, of shape (r + 3) x r, with
+    whether each is full rank (None on the floor, where rounding decides)."""
+    p = r + 3
+    gauss = rng.standard_normal((3, p, r))
+    slices = [(gauss[0] * 1e-300, True), (gauss[1], True), (gauss[2] * 1e300, True),
+              (np.zeros((p, r)), False)]
+    if r > 1:
+        zero_col, dup_col = rng.standard_normal((2, p, r))
+        zero_col[:, -1] = 0.0
+        dup_col[:, -1] = dup_col[:, 0]
+        slices += [(zero_col, False), (dup_col, False)]
+        for kappa, full in ((1e11, True), (5e11, True), (1e12, None), (2e12, False),
+                            (1e13, False)):
+            u = random_frame(rng, p, r).values
+            v = random_frame(rng, r, r).values
+            slices.append(((u * np.geomspace(1.0, 1.0 / kappa, r)) @ v.T, full))
+        # deficient slices whose squares leave the normal range
+        kappa13 = slices[-1][0]
+        for scale in (1e-300, 1e-162, 1e300):
+            slices += [(dup_col * scale, False), (kappa13 * scale, False)]
+    stack, full_rank = zip(*slices)
+    return np.stack(stack), full_rank
+
+
+def test_rank_bound_agrees_with_singular_value_rule():
+    # the determinant bound settles only slices the singular values would
+    # call full rank, and the frames keep the q * sign bits
+    rng = np.random.default_rng(23)
+    for r in (1, 2, 3, 4):
+        stack, expected = _adversarial_stack(rng, r)
+        frames, full_rank = orthonormalize_batch(stack)
+        want_frames, want_rank = _svd_rank_rule(stack)
+        assert np.array_equal(full_rank, want_rank), r
+        assert frames.tobytes() == want_frames.tobytes(), r
+        assert all(want is None or got == want for got, want in zip(full_rank, expected)), r
+        # a slice alone gives the same answer as in the stack
+        for i, one in enumerate(stack):
+            alone_frame, alone_rank = orthonormalize_batch(one[None])
+            assert alone_rank[0] == full_rank[i] and np.array_equal(alone_frame[0], frames[i])
+        # non-finite slices reach the singular values, which answer for them
+        # or refuse them as they did before the bound
+        for bad in (np.nan, np.inf, -np.inf):
+            poisoned = stack.copy()
+            poisoned[1, 0, -1] = bad
+            outcomes = []
+            for rule in (orthonormalize_batch, _svd_rank_rule):
+                try:
+                    outcomes.append(list(rule(poisoned)[1]))
+                except np.linalg.LinAlgError:
+                    outcomes.append("LinAlgError")
+            assert outcomes[0] == outcomes[1], (r, bad)
 
 
 def test_spectrum_spec_validation():

@@ -2,8 +2,10 @@ import ast
 import dataclasses
 import pathlib
 
+import numpy as np
+
 import subspace_est
-from subspace_est import constraints, estimators, models
+from subspace_est import cli, constraints, estimators, models
 
 
 def test_every_export_resolves():
@@ -105,3 +107,26 @@ def test_each_dimension_is_stated_once():
     oracle = next(n for n in ast.walk(tree)
                   if isinstance(n, ast.FunctionDef) and n.name == "_cmd_oracle")
     assert _calls(oracle, {"run_trials"}) == ["run_trials"]
+
+
+def test_benchmark_risk_commands_take_no_svd(monkeypatch, tmp_path):
+    # the power step's rank test settles every slice of the seed-0 benchmark
+    # risk runs from the determinant bound, without singular values
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    commands = {
+        "lowsnr": ["--family", "denoising", "--p1", "200", "--p2", "400", "--r", "1",
+                   "--t", "2", "--constraint", "nonneg", "--trials", "10"],
+        "sparse": ["--family", "wigner", "--p", "40", "--r", "2", "--t", "8",
+                   "--constraint", "sparse:k=6", "--trials", "50"],
+    }
+    for name, argv in commands.items():
+        assert cli.main(["risk", *argv, "--sigma", "1", "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / name / "risk.json").exists()
+    assert calls == []
