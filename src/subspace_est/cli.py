@@ -249,9 +249,9 @@ def _cmd_risk(resolved: dict) -> dict:
     config = _estimator_config(resolved)
     estimate = harness.monte_carlo_risk(model, cset, config, resolved["trials"])
     return {"risk.json": {
-        "mean_d": estimate.mean_distance, "seed": estimate.seed,
-        "spec_digest": estimate.spec_digest, "stderr": estimate.stderr,
-        "trials": estimate.trials}}
+        "mean_d": estimate.mean_distance, "seed": resolved["seed"],
+        "spec_digest": harness.spec_digest(model, cset, config),
+        "stderr": estimate.stderr, "trials": resolved["trials"]}}
 
 
 def _sweep_grid(resolved: dict) -> list:
@@ -276,12 +276,7 @@ def _cmd_sweep(resolved: dict) -> dict:
     rows = harness.sweep(grid, model, cset, config, resolved["trials"])
     outputs = {"sweep.csv": rows}
     try:
-        fit = harness.detect_phase_transition(rows)
-        outputs["fits.json"] = {
-            "r_squared_high": fit.r_squared_high,
-            "r_squared_low": fit.r_squared_low,
-            "slope_high": fit.slope_high, "slope_low": fit.slope_low,
-            "t_break": fit.t_break}
+        outputs["fits.json"] = dataclasses.asdict(harness.detect_phase_transition(rows))
     except DegenerateInput:
         pass
     return outputs

@@ -50,22 +50,24 @@ _ROW_BYTES = 1 << 20
 class PackingSet:
     """Members of a constraint set packed inside a metric ball.
 
-    Invariants (checked by validate): every member lies within radius + 1e-9
-    of the center, distinct members are separated by more than
-    separation - 1e-9, and separation = alpha * radius with alpha in (0, 1).
+    Invariants (checked by validate): 0 < separation < radius, every member
+    lies within radius + 1e-9 of the center, and distinct members are
+    separated by more than separation - 1e-9.
     """
 
     center: OrthonormalFrame
     radius: float
     separation: float
     members: list
-    alpha: float
+
+    @property
+    def alpha(self) -> float:
+        """The separation as a share of the radius, in (0, 1)."""
+        return self.separation / self.radius
 
     def validate(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if abs(self.separation - self.alpha * self.radius) > _SLACK:
-            raise ValueError("separation must equal alpha * radius")
+        if not 0.0 < self.separation < self.radius:
+            raise ValueError(f"need 0 < separation < radius, got {self.separation:.6g}")
         for i, m in enumerate(self.members):
             dist = subspace_distance(m, self.center)
             if dist > self.radius + _SLACK:
@@ -80,33 +82,30 @@ class PackingSet:
                         f"the separation {self.separation:.6g}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EntropyEstimate:
-    """Greedy covering counts over an epsilon grid plus entropy integrals.
+    """Greedy log-covering counts over an epsilon grid, with the entropy
+    integrals derived from them.
 
-    dudley_value integrates sqrt(log N(eps)) over the grid, dudley_prime
-    integrates log N(eps); both by the trapezoid rule on the given grid.
-    unresolved[i] is True where the net at epsilons[i] took every drawn
-    element as a center, so the count there may be a floor set by the
-    number of draws rather than a measurement.  unresolved_share holds, for dudley_value and then
-    dudley_prime, the part of the integral contributed by those scales (the
-    trapezoid rule on the integrand zeroed at resolved scales), as a share
-    of the whole; a zero integral has share 0.
+    Stored: the grid, log N(eps) at each scale, the draw budget, and
+    unresolved[i], True where the net at epsilons[i] took every drawn
+    element as a center, so its count may be a floor set by the number of
+    draws rather than a measurement.  Derived, by the trapezoid rule on the
+    grid: dudley_value integrates sqrt(log N(eps)), dudley_prime integrates
+    log N(eps), and unresolved_share holds the share of each (in that order)
+    carried by the unresolved scales, the integrand zeroed at resolved
+    scales; a zero integral has share 0.
     """
 
     epsilons: tuple
     log_covering: tuple
-    dudley_value: float
-    dudley_prime: float
     budget: int
-    unresolved: tuple | None = None
-    unresolved_share: tuple = (0.0, 0.0)
+    unresolved: tuple
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
         logs = tuple(float(v) for v in self.log_covering)
-        flags = (False,) * len(eps) if self.unresolved is None else tuple(
-            bool(f) for f in self.unresolved)
+        flags = tuple(bool(f) for f in self.unresolved)
         if len(eps) != len(logs) or len(eps) != len(flags):
             raise DimensionMismatch("epsilons, log_covering and unresolved lengths differ")
         if any(b <= a for a, b in zip(eps, eps[1:])):
@@ -116,8 +115,25 @@ class EntropyEstimate:
         object.__setattr__(self, "epsilons", eps)
         object.__setattr__(self, "log_covering", logs)
         object.__setattr__(self, "unresolved", flags)
-        object.__setattr__(self, "unresolved_share",
-                           tuple(float(s) for s in self.unresolved_share))
+
+    @property
+    def dudley_value(self) -> float:
+        return float(np.trapezoid(np.sqrt(self.log_covering), self.epsilons))
+
+    @property
+    def dudley_prime(self) -> float:
+        return float(np.trapezoid(self.log_covering, self.epsilons))
+
+    @property
+    def unresolved_share(self) -> tuple:
+        logs = np.asarray(self.log_covering)
+        shares = []
+        for integrand, whole in ((np.sqrt(logs), self.dudley_value),
+                                 (logs, self.dudley_prime)):
+            part = float(np.trapezoid(np.where(self.unresolved, integrand, 0.0),
+                                      self.epsilons))
+            shares.append(part / whole if whole > 0.0 else 0.0)
+        return tuple(shares)
 
 
 def vg_codebook(n: int, d: int, budget: int = 10 ** 6, seed: int = 0,
@@ -195,8 +211,7 @@ def sparse_packing_construction(p1: int, r: int, k: int, epsilon: float,
     center_vec[0] = 1.0
     center = OrthonormalFrame(_pad_identity_columns(center_vec, p1, r))
     return PackingSet(center=center, radius=math.sqrt(2.0) * epsilon,
-                      separation=epsilon / 2.0, members=members,
-                      alpha=1.0 / (2.0 * math.sqrt(2.0)))
+                      separation=epsilon / 2.0, members=members)
 
 
 def sign_packing_construction(n: int, d: int, budget: int = 10 ** 6,
@@ -217,8 +232,7 @@ def sign_packing_construction(n: int, d: int, budget: int = 10 ** 6,
     center = members[0]
     radius = 2.0 * math.sqrt(2.0 * d / n)
     return PackingSet(center=center, radius=radius,
-                      separation=math.sqrt(d / n), members=members,
-                      alpha=math.sqrt(d / n) / radius)
+                      separation=math.sqrt(d / n), members=members)
 
 
 def greedy_local_packing(cset: constraints.ConstraintSet, center: OrthonormalFrame,
@@ -251,7 +265,7 @@ def greedy_local_packing(cset: constraints.ConstraintSet, center: OrthonormalFra
         lambda idx: _gram_distances(points, points[idx]))
     members = [center] + [OrthonormalFrame(w.T) for w in points[1:][admitted[1:]]]
     return PackingSet(center=center, radius=epsilon, separation=threshold,
-                      members=members, alpha=alpha)
+                      members=members)
 
 
 def _check_budget(budget) -> None:
@@ -398,24 +412,17 @@ def _tangent_distance_rows(members, overlaps, norms, idx):
     return np.sqrt(np.clip(sq, 0.0, None))
 
 
-def _unresolved_share(integrand, unresolved, grid, whole: float) -> float:
-    """Share of the trapezoid integral whole carried by the unresolved scales."""
-    if whole <= 0.0:
-        return 0.0
-    return float(np.trapezoid(np.where(unresolved, integrand, 0.0), grid)) / whole
-
-
 def dudley_estimate(cset: constraints.ConstraintSet, center: OrthonormalFrame,
                     epsilon_grid=None, budget: int = 4000,
                     seed: int = 0) -> EntropyEstimate:
-    """Entropy integrals of T(cset, center) from nested greedy nets.
+    """Log-covering counts of T(cset, center) from nested greedy nets, whose
+    estimate derives the entropy integrals.
 
     Covering counts come from nested greedy nets over one fixed stream of
     random members, drawn and compared as stacks, so they are non-increasing
-    in epsilon.  Both integrals use the trapezoid rule on the grid; a
-    singleton tangent set (or none at all) gives zero.  A scale whose net
-    takes every drawn tangent element is flagged unresolved, and the
-    estimate reports what share of each integral those scales carry.  Raises
+    in epsilon.  A singleton tangent set (or none at all) has log-covering
+    zero at every scale, so both integrals vanish.  A scale whose net takes every
+    drawn tangent element is flagged unresolved.  Raises
     ValueError, before any draw, unless the grid has two or more distinct
     scales, each finite and positive, and budget is at least 1.
     """
@@ -437,12 +444,4 @@ def dudley_estimate(cset: constraints.ConstraintSet, center: OrthonormalFrame,
             lambda idx: _tangent_distance_rows(members, overlaps, norms, idx))
         unresolved = counts == len(members)
     logs = np.where(counts > 0, np.log(np.maximum(counts, 1)), 0.0)
-    roots = np.sqrt(logs)
-    dudley_value = float(np.trapezoid(roots, grid))
-    dudley_prime = float(np.trapezoid(logs, grid))
-    shares = (_unresolved_share(roots, unresolved, grid, dudley_value),
-              _unresolved_share(logs, unresolved, grid, dudley_prime))
-    return EntropyEstimate(epsilons=tuple(grid), log_covering=tuple(logs),
-                           dudley_value=dudley_value, dudley_prime=dudley_prime,
-                           budget=budget, unresolved=tuple(unresolved),
-                           unresolved_share=shares)
+    return EntropyEstimate(grid, logs, budget, unresolved)

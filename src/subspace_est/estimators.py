@@ -13,6 +13,7 @@ Each result carries the best objective value it visited.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +126,11 @@ def _check_stack(ms: np.ndarray, cset: constraints.ConstraintSet) -> None:
     if ms.ndim != 3 or ms.shape[1:] != (cset.p, cset.p):
         raise DimensionMismatch(
             f"objective stack is {ms.shape}, constraint ambient is {cset.p}")
+    # p^2 max|M| bounds every entry of M U, objective sum and sign score
+    scale = float(max(ms.max(initial=0.0), -ms.min(initial=0.0)))
+    if not math.isfinite(cset.p * cset.p * scale):
+        raise DegenerateInput(
+            f"objective entries up to {scale:.6g} overflow the power step at p = {cset.p}")
 
 
 def iterative_projection_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
@@ -264,9 +270,9 @@ def estimate_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
     """
     if config is None:
         config = EstimatorConfig()
-    _check_stack(ms, cset)
     if config.method == ITERATIVE:
         return iterative_projection_batch(ms, cset, config)
+    _check_stack(ms, cset)
     if config.method == SPECTRAL:
         frames = _spectral_members(ms, cset)
     else:

@@ -40,17 +40,13 @@ BLOCK_BYTES = 2 << 20
 
 @dataclass(frozen=True)
 class RiskEstimate:
-    """Monte Carlo estimate of the expected subspace loss."""
+    """Monte Carlo estimate of the expected subspace loss and its standard
+    error."""
 
     mean_distance: float
     stderr: float
-    trials: int
-    spec_digest: str
-    seed: int
 
     def __post_init__(self):
-        if self.trials < 2:
-            raise ValueError("need at least 2 trials")
         if self.mean_distance < 0 or self.stderr < 0:
             raise ValueError("risk summaries must be non-negative")
 
@@ -97,8 +93,10 @@ class PhaseTransitionFit:
     r_squared_high: float
 
 
-def _spec_digest(model: models.ModelSpec, cset: constraints.ConstraintSet,
-                 config: estimators.EstimatorConfig) -> str:
+def spec_digest(model: models.ModelSpec, cset: constraints.ConstraintSet,
+                config: estimators.EstimatorConfig) -> str:
+    """A 16-hex-digit hash of the model (seed included), the constraint set
+    (basis included) and the estimator config."""
     h = hashlib.sha256()
 
     def put(*items):
@@ -149,7 +147,8 @@ def monte_carlo_risk(model: models.ModelSpec, cset: constraints.ConstraintSet,
     of run_trials.
 
     The result is a pure function of the inputs, the same at every block
-    size, and the first half of a doubled run reproduces exactly.
+    size, and the first half of a doubled run reproduces exactly.  It holds
+    those two numbers only; the CLI writes seed, trials and spec_digest.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
@@ -164,9 +163,7 @@ def monte_carlo_risk(model: models.ModelSpec, cset: constraints.ConstraintSet,
     arr = np.asarray(losses)
     mean = float(np.mean(arr))
     sd = float(np.std(arr, ddof=1))
-    return RiskEstimate(mean_distance=mean, stderr=sd / math.sqrt(trials),
-                        trials=trials, spec_digest=_spec_digest(model, cset, config),
-                        seed=model.seed)
+    return RiskEstimate(mean_distance=mean, stderr=sd / math.sqrt(trials))
 
 
 def theory_rate(model: models.ModelSpec, cset: constraints.ConstraintSet) -> float:

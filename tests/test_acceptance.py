@@ -318,7 +318,6 @@ def test_08_clustering_consistency_limit(capsys):
     assert elapsed < 300.0
 
 
-@pytest.mark.slow
 def test_09_entropy_scaling(capsys):
     # Squared entropy-integral ratios across k (sparse), p (non-negative) and
     # subspace dimension must match the predicted ratios within factor 2;

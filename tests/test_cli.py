@@ -331,6 +331,16 @@ def test_overflowing_objective_exit_four(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "DegenerateInput" in err and "Traceback" not in err
     assert not est.exists()
+    # M itself is finite here, but its products in the power step are not
+    big = tmp_path / "big"
+    big.mkdir()
+    write_matrix(big / "Y.csv", np.full((12, 12), 8e307))
+    argv = ["estimate", "--in", str(big), "--family", "wigner", "--r", "1",
+            "--constraint", "none", "--out", str(est)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith(
+        "error: DegenerateInput: objective entries up to 8e+307 overflow the power step")
+    assert not est.exists()
 
 
 def test_estimate_wigner_on_non_square_observation_exit_two(tmp_path, capsys):
@@ -573,6 +583,14 @@ _REFUSALS = {
                                 ["estimate", "--in", "{tmp}/in", "--r", "1",
                                  "--constraint", "none", "--out", "{tmp}/out"],
                                 2, "--family not given and absent from {tmp}/in/"),
+    "estimate without Y.csv": ({"in/U_truth.csv": "# 2 1\n1\n0\n"},
+                               ["estimate", "--in", "{tmp}/in", "--family", "wigner",
+                                "--r", "1", "--constraint", "none", "--out", "{tmp}/out"],
+                               3, "cannot read {tmp}/in/Y.csv"),
+    # the write of risk.json fails on the directory of that name
+    "output name taken by a directory": ({"res/risk.json/keep": ""},
+                                         [*_WIGNER_RISK, "--out", "{tmp}/res"],
+                                         3, "[Errno 21] Is a directory: '{tmp}/res/risk.json'"),
 }
 
 
@@ -580,7 +598,7 @@ _REFUSALS = {
 def test_cli_refusal_exit_code_and_message(tmp_path, capsys, case):
     files, argv, code, message = _REFUSALS[case]
     for name, text in files.items():
-        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
     assert capsys.readouterr().err.startswith(f"error: {message.format(tmp=tmp_path)}")

@@ -49,6 +49,8 @@ def test_constraint_set_validation():
     for kind, k in (("nonneg", None), ("none", None), ("sparse", 4)):
         with pytest.raises(ValueError, match="takes no basis"):
             ConstraintSet(kind, 10, 2, k=k, basis=basis)
+    with pytest.raises(ValueError, match="subspace constraint needs a basis"):
+        ConstraintSet("subspace", 10, 2, k=4)
 
 
 def test_nonneg_projection_rank_one_examples():
@@ -146,6 +148,9 @@ def test_subspace_projection_membership_idempotent():
 def test_projection_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         project(nonneg(4, 1), np.zeros((5, 1)))
+    for stack in (np.zeros((2, 5, 1)), np.zeros((5, 1))):
+        with pytest.raises(DimensionMismatch, match="constraint ambient is 4 x 1"):
+            project_batch(nonneg(4, 1), stack)
 
 
 def test_projection_rejects_non_finite_input():

@@ -58,19 +58,18 @@ def _tiny_frame(x, y):
 def test_packing_set_validate_catches_violations():
     e1, e2 = _tiny_frame(1, 0), _tiny_frame(0, 1)
     near = _tiny_frame(1, 0.05)
-    good = PackingSet(center=e1, radius=1.5, separation=0.75,
-                      members=[e1, e2], alpha=0.5)
+    good = PackingSet(center=e1, radius=1.5, separation=0.75, members=[e1, e2])
     good.validate()
-    with pytest.raises(ValueError):
-        PackingSet(e1, 1.5, 0.75, [e1, e2], alpha=1.5).validate()
-    with pytest.raises(ValueError):
-        PackingSet(e1, 1.5, 0.9, [e1, e2], alpha=0.5).validate()
+    assert good.alpha == 0.5
+    for separation in (2.25, 1.5, 0.0):
+        with pytest.raises(ValueError, match="need 0 < separation < radius"):
+            PackingSet(e1, 1.5, separation, [e1, e2]).validate()
     # e2 sits at distance sqrt(2) from e1, beyond a 0.5 radius
     with pytest.raises(ValueError):
-        PackingSet(e1, 0.5, 0.25, [e1, e2], alpha=0.5).validate()
+        PackingSet(e1, 0.5, 0.25, [e1, e2]).validate()
     # near-duplicate pair breaks the separation floor
     with pytest.raises(ValueError):
-        PackingSet(e1, 1.5, 0.75, [e1, near], alpha=0.5).validate()
+        PackingSet(e1, 1.5, 0.75, [e1, near]).validate()
 
 
 def test_sparse_packing_construction():
@@ -455,11 +454,11 @@ def test_dudley_refuses_repeated_or_single_scales_before_drawing(monkeypatch):
 
 
 def test_entropy_estimate_validation():
-    EntropyEstimate((0.1, 0.2), (2.0, 1.0), 1.0, 2.0, 100)
+    EntropyEstimate((0.1, 0.2), (2.0, 1.0), 100, (False, False))
     with pytest.raises(ValueError):
-        EntropyEstimate((0.2, 0.1), (1.0, 2.0), 1.0, 2.0, 100)
+        EntropyEstimate((0.2, 0.1), (1.0, 2.0), 100, (False, False))
     with pytest.raises(ValueError):
-        EntropyEstimate((0.1, 0.2), (1.0, 2.0), 1.0, 2.0, 100)
+        EntropyEstimate((0.1, 0.2), (1.0, 2.0), 100, (False, False))
 
 
 def test_dudley_singleton_tangent_set_is_zero():
@@ -553,7 +552,7 @@ def test_dudley_flags_unresolved_scales():
                              budget=200, seed=0)
     assert not any(single.unresolved) and single.unresolved_share == (0.0, 0.0)
     with pytest.raises(DimensionMismatch):
-        EntropyEstimate((0.1, 0.2), (2.0, 1.0), 1.0, 2.0, 100, unresolved=(True,))
+        EntropyEstimate((0.1, 0.2), (2.0, 1.0), 100, (True,))
 
 
 def test_dudley_sparse_scaling_high_dim():

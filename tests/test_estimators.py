@@ -333,6 +333,16 @@ def test_engine_empty_block_and_shape_guard():
             estimate(np.zeros((4, 5)), cset, EstimatorConfig(method=method))
 
 
+def test_stack_whose_power_step_would_overflow_is_refused():
+    # every entry is finite, but p^2 max|M| is not: M U, the objective sums
+    # or the sign scores of the middle slice could overflow
+    stack = np.stack([np.eye(12), np.full((12, 12), -8e307), np.eye(12)])
+    for method in ("iterative", "spectral", "exhaustive"):
+        with pytest.raises(DegenerateInput, match="entries up to 8e\\+307 overflow"):
+            estimators.estimate_batch(stack, constraints.signs(12),
+                                      EstimatorConfig(method=method))
+
+
 def _every_kind():
     basis = _haar(12, 5, 31)
     return [constraints.sparse(12, 2, 4), constraints.nonneg(12, 1),

@@ -270,6 +270,32 @@ def test_distance_shape_mismatch():
         subspace_distance(random_frame(rng, 5, 2), random_frame(rng, 6, 2))
 
 
+_E52, _E62 = np.eye(5, 2), np.eye(6, 2)
+_FLAT2 = SpectrumSpec.flat(2.0, 2)
+
+_FRAME_REFUSALS = {
+    "3-D frame": (lambda: OrthonormalFrame(np.zeros((2, 3, 1))),
+                  DimensionMismatch, "expected a matrix"),
+    "orthonormalize p < r": (lambda: orthonormalize(np.ones((2, 3))),
+                             DimensionMismatch, "need p >= r"),
+    "procrustes shapes": (lambda: procrustes_align(_E52, _E62),
+                          DimensionMismatch, "frame shapes differ"),
+    "quadratic form shapes": (lambda: quadratic_form_gap(_E52, _FLAT2, _E62),
+                              DimensionMismatch, "frame shapes differ"),
+    "quadratic form rank": (lambda: quadratic_form_gap(_E52, SpectrumSpec.flat(2.0, 1), _E52),
+                            DimensionMismatch, "spectrum rank does not match"),
+    "quadratic form mode": (lambda: quadratic_form_gap(_E52, _FLAT2, _E52, mode="cubic"),
+                            ValueError, "unknown mode 'cubic'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FRAME_REFUSALS))
+def test_frame_refusals(case):
+    build, error, message = _FRAME_REFUSALS[case]
+    with pytest.raises(error, match=message):
+        build()
+
+
 @pytest.mark.parametrize("values, conditioning, error, message", [
     ((), 2.0, DimensionMismatch, "at least one value"),
     ((2.0, 0.0), 2.0, ValueError, "values must be positive"),

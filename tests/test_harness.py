@@ -31,11 +31,10 @@ def _losses(model, cset, config, trials):
 
 
 def test_risk_estimate_validation():
-    RiskEstimate(0.3, 0.01, 10, "abc", 0)
-    with pytest.raises(ValueError):
-        RiskEstimate(0.3, 0.01, 1, "abc", 0)
-    with pytest.raises(ValueError):
-        RiskEstimate(-0.1, 0.01, 10, "abc", 0)
+    RiskEstimate(0.3, 0.01)
+    for mean, stderr in ((-0.1, 0.01), (0.3, -0.01)):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            RiskEstimate(mean, stderr)
 
 
 def test_monte_carlo_risk_refuses_fewer_than_two_trials_before_sampling(monkeypatch):
@@ -67,8 +66,6 @@ def test_monte_carlo_risk_aggregation_matches_trials():
     vals = np.array(_losses(model, cset, _spectral(), 16))
     assert est.mean_distance == np.mean(vals)
     assert est.stderr == np.std(vals, ddof=1) / math.sqrt(16)
-    assert est.trials == 16
-    assert est.seed == model.seed
     # first half of a doubled run is the same stream
     half = monte_carlo_risk(model, cset, _spectral(), trials=8)
     assert half.mean_distance == np.mean(vals[:8])
@@ -128,14 +125,12 @@ def test_monte_carlo_risk_stderr_bound():
 def test_spec_digest_tracks_inputs():
     model = _wigner_model()
     cset = constraints.unconstrained(8, 1)
-    a = monte_carlo_risk(model, cset, _spectral(), trials=2).spec_digest
-    b = monte_carlo_risk(model, cset, EstimatorConfig(method="spectral", tol=1e-6),
-                         trials=2).spec_digest
-    c = monte_carlo_risk(model, constraints.nonneg(8, 1), _spectral(),
-                         trials=2).spec_digest
-    assert a != b and a != c
-    again = monte_carlo_risk(model, cset, _spectral(), trials=2).spec_digest
-    assert a == again
+    a = harness.spec_digest(model, cset, _spectral())
+    b = harness.spec_digest(model, cset, EstimatorConfig(method="spectral", tol=1e-6))
+    c = harness.spec_digest(model, constraints.nonneg(8, 1), _spectral())
+    d = harness.spec_digest(_wigner_model(seed=1), cset, _spectral())
+    assert len({a, b, c, d}) == 4 and len(a) == 16
+    assert harness.spec_digest(model, cset, _spectral()) == a
 
 
 def test_theory_rate_values():
@@ -323,6 +318,12 @@ def test_detect_phase_transition_guards():
     rows = _rows_from_curve(ts, lambda t: 1.0 / t)
     with pytest.raises(DegenerateInput):
         detect_phase_transition(rows)
+    ts = np.geomspace(2.0, 2000.0, 8)
+    for bad in (dict(t=-1.0), dict(mean_d=0.0)):
+        rows = _rows_from_curve(ts, lambda t: 1.0 / t)
+        rows[4] = dataclasses.replace(rows[4], **bad)
+        with pytest.raises(DegenerateInput, match="needs positive t and risk"):
+            detect_phase_transition(rows)
     narrow = np.geomspace(2.0, 40.0, 12)
     rows = _rows_from_curve(narrow, lambda t: 1.0 / t)
     with pytest.raises(DegenerateInput):

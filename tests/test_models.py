@@ -305,6 +305,8 @@ _SHAPE_REFUSALS = {
     "generic KL shapes": (
         lambda: models.kl_gaussian_generic(np.zeros(2), np.eye(2), np.zeros(3), np.eye(3)),
         DimensionMismatch, "mean/covariance shapes are inconsistent"),
+    "covariance of a vector": (lambda: models.sample_covariance(np.ones(5)),
+                               DimensionMismatch, "expected an n x p matrix"),
 }
 
 

@@ -1,11 +1,12 @@
 import ast
 import dataclasses
+import inspect
 import pathlib
 
 import numpy as np
 
 import subspace_est
-from subspace_est import cli, constraints, estimators, models
+from subspace_est import cli, constraints, entropy, estimators, harness, models
 
 
 def test_every_export_resolves():
@@ -130,3 +131,37 @@ def test_benchmark_risk_commands_take_no_svd(monkeypatch, tmp_path):
         assert cli.main(["risk", *argv, "--sigma", "1", "--out", str(tmp_path / name)]) == 0
         assert (tmp_path / name / "risk.json").exists()
     assert calls == []
+
+
+def test_records_hold_measurements_only():
+    # what a record's function measured is stored; what follows from it, or
+    # echoes the caller's inputs, is derived or left to the caller
+    def names(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+    assert names(harness.RiskEstimate) == ("mean_distance", "stderr")
+    assert names(entropy.EntropyEstimate) == (
+        "epsilons", "log_covering", "budget", "unresolved")
+    assert entropy.EntropyEstimate.__dataclass_params__.frozen
+    assert names(entropy.PackingSet) == ("center", "radius", "separation", "members")
+    for cls, prop in ((entropy.EntropyEstimate, "dudley_value"),
+                      (entropy.EntropyEstimate, "dudley_prime"),
+                      (entropy.EntropyEstimate, "unresolved_share"),
+                      (entropy.PackingSet, "alpha")):
+        assert isinstance(inspect.getattr_static(cls, prop), property), prop
+    assert not hasattr(entropy, "_unresolved_share")
+    assert not hasattr(harness, "_spec_digest")
+
+
+def test_benchmark_read_interface():
+    # perfbench/tracing.py reads these names on every benchmark run, traced
+    # or not: the 4th argument of monte_carlo_risk by the name trials, the
+    # first of dudley_estimate by the name cset, and the log_covering and
+    # budget of its result
+    risk = list(inspect.signature(harness.monte_carlo_risk).parameters)
+    assert risk.index("trials") == 3
+    assert list(inspect.signature(entropy.dudley_estimate).parameters)[0] == "cset"
+    cset = constraints.signs(4)
+    est = entropy.dudley_estimate(cset, constraints.random_member(cset, 0),
+                                  epsilon_grid=[0.5, 1.0], budget=5, seed=1)
+    assert est.budget == 5 and len(est.log_covering) == 2
