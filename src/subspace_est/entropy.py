@@ -14,12 +14,16 @@ constraint set looks from U.  Greedy nets cannot count past the number of
 draws, so each entropy estimate flags the scales where its net took every
 draw.  Nets and local packings share one draw path and one greedy loop:
 members come from one seeded stream in bounded blocks
-(constraints.random_members, bit for bit as one draw at a time), the
-distance rows of a block of candidate centers are one GEMM of their rows
-against the row matrix of the transposed draws, and a packing is the greedy
-net of the in-ball draws at the separation.  Member distances take the Gram
-form and tangent norms the residual form; both agree with per-pair products
-to rounding, and golden tests pin the counts they give.
+(constraints.random_members, bit for bit as one draw at a time), and a
+packing is the greedy net of the in-ball draws at the separation.  A net
+keeps, for each point not yet a center, its squared distance to the
+nearest center, and the rows of a block of candidate centers cover those
+open points only, since a center's distance is never read again.  The rows
+are computed in a workspace allocated once per net and bounded by
+_ROW_BYTES: the open points are gathered in chunks, and one GEMM per chunk
+serves the whole block.  Member distances take the Gram form and tangent
+norms the residual form; both agree with per-pair products to rounding,
+and golden tests pin the counts they give.
 """
 
 from __future__ import annotations
@@ -40,9 +44,10 @@ _SLACK = 1e-9
 # blocks buy little speed and cost peak memory
 _DRAW_BYTES = 1 << 17
 
-# a greedy net computes the distance rows of its candidate centers in blocks
-# of at most _ROW_BYTES of cross products: one GEMM per block reads the row
-# matrix once for all of them, and a wider block costs peak memory
+# a greedy net takes its candidate centers in blocks whose cross products
+# with the whole member stack would fill at most _ROW_BYTES, and gathers the
+# points their rows cover in chunks whose rows and cross products together
+# fill at most _ROW_BYTES; wider blocks or chunks cost peak memory
 _ROW_BYTES = 1 << 20
 
 
@@ -261,8 +266,7 @@ def greedy_local_packing(cset: constraints.ConstraintSet, center: OrthonormalFra
     # a net at the next float above alpha * epsilon admits exactly the
     # points farther than alpha * epsilon from every earlier admission
     _, admitted = _greedy_net_counts(
-        [np.nextafter(threshold, np.inf)], points,
-        lambda idx: _gram_distances(points, points[idx]))
+        [np.nextafter(threshold, np.inf)], points, _gram_rows(points))
     members = [center] + [OrthonormalFrame(w.T) for w in points[1:][admitted[1:]]]
     return PackingSet(center=center, radius=epsilon, separation=threshold,
                       members=members)
@@ -280,40 +284,73 @@ def _check_scales(scales) -> None:
             raise ValueError(f"need a finite positive epsilon, got {eps}")
 
 
+def _row_block(members) -> int:
+    """The number of candidate centers a greedy net over a (n, r, p) stack
+    takes per rows call: at most n, so that their (r K) x (r n) cross
+    products with the whole stack would fit in _ROW_BYTES."""
+    size, r, _ = members.shape
+    return min(size, max(1, _ROW_BYTES // (8 * size * r * r)))
+
+
+def _squared_floor(eps: float) -> float:
+    """The least float x with sqrt(x) >= eps, for eps > 0.  Because sqrt is
+    monotone and correctly rounded, x >= this floor exactly when
+    sqrt(clip(x, 0)) >= eps; a negative x or NaN fails both."""
+    floor = eps * eps
+    while floor > 0.0 and math.sqrt(math.nextafter(floor, 0.0)) >= eps:
+        floor = math.nextafter(floor, 0.0)
+    while math.sqrt(floor) < eps:
+        floor = math.nextafter(floor, math.inf)
+    return floor
+
+
 def _greedy_net_counts(grid, members, rows) -> tuple:
     """Nested greedy net sizes over a (n, r, p) stack of transposed member
     frames, one per scale in grid, and the center mask of the net at the
     finest scale.
 
-    rows(idx) returns the distances from each point of the index array idx
-    to every point, as a (len(idx), n) array.  The grid is swept from its
-    largest scale down and each net grows out of the previous one: the first
-    point at least eps from every center becomes a center, which in draw
-    order is the sequential greedy net.  Counts are therefore non-increasing
-    in epsilon by construction.
+    rows(idx, cols) returns the squared distances from each point of the
+    index array idx, at most _row_block(members) of them, to each point of
+    the index array cols, as a (len(idx), len(cols)) array that the next
+    call may overwrite.  The grid is swept from its largest scale down and
+    each net grows out of the previous one: the first point at least eps
+    from every center becomes a center, which in draw order is the
+    sequential greedy net.  Counts are therefore non-increasing in epsilon
+    by construction.
 
-    Candidates are taken in blocks of the next eligible points, their rows
-    in one call, and admitted in order while still eligible after the
-    earlier admissions of the block.  Within a scale distances to the
-    centers only fall, so a point skipped once stays ineligible, and the
-    blocks admit exactly the centers one point at a time would.
+    Only the open points, those not yet centers, are tracked: a center's
+    distance to the net is never read again, so each row covers the open
+    points only, and each open point keeps its squared distance to the
+    nearest center.  A point is eligible when sqrt(clip(that, 0)) >= eps,
+    tested as that >= _squared_floor(eps).  That map is monotone, so it
+    commutes with the running minimum, and the nets are those of the
+    distances sqrt(clip(rows, 0)).  Candidates are taken in blocks of the
+    next eligible points, their rows in one call, and admitted in order
+    while still eligible after the earlier admissions of the block.  Within
+    a scale distances to the centers only fall, so a point skipped once
+    stays ineligible, and the blocks admit exactly the centers one point at
+    a time would.
     """
-    size, r, _ = members.shape
-    block = max(1, _ROW_BYTES // (8 * size * r * r))
-    min_dist = np.full(size, np.inf)
-    is_center = np.zeros(size, dtype=bool)
+    size = len(members)
+    block = _row_block(members)
+    open_idx = np.arange(size)
+    open_sq = np.full(size, np.inf)
     counts = np.zeros(len(grid), dtype=np.int64)
     for level in range(len(grid) - 1, -1, -1):
-        eps = grid[level]
+        floor = _squared_floor(grid[level])
         while True:
-            candidates = np.flatnonzero(~is_center & (min_dist >= eps))[:block]
+            candidates = np.flatnonzero(open_sq >= floor)[:block]
             if candidates.size == 0:
                 break
-            for j, row in zip(candidates, rows(candidates)):
-                if min_dist[j] >= eps:
-                    is_center[j] = True
-                    np.minimum(min_dist, row, out=min_dist)
-        counts[level] = int(np.count_nonzero(is_center))
+            stays = np.ones(open_idx.size, dtype=bool)
+            for pos, row in zip(candidates, rows(open_idx[candidates], open_idx)):
+                if open_sq[pos] >= floor:
+                    stays[pos] = False
+                    np.minimum(open_sq, row, out=open_sq)
+            open_idx, open_sq = open_idx[stays], open_sq[stays]
+        counts[level] = size - open_idx.size
+    is_center = np.ones(size, dtype=bool)
+    is_center[open_idx] = False
     return counts, is_center
 
 
@@ -323,22 +360,93 @@ def _transposed(stack):
     return np.ascontiguousarray(stack.swapaxes(1, 2))
 
 
+def _block_sums(cross, out):
+    """||W_j' V_i||_F^2 into the (K, B) array out, from the (r, K, r, B)
+    view cross of GEMM products, cross[a, i, b, j] the product of row a of
+    frame V_i and row b of member W_j: the squares summed over a, then
+    over b.  The view is squared, and its a-blocks summed into the first,
+    in place."""
+    r = cross.shape[0]
+    cross *= cross
+    for a in range(1, r):
+        cross[0] += cross[a]
+    if r == 1:
+        np.copyto(out, cross[0, :, 0])
+    else:
+        np.add(cross[0, :, 0], cross[0, :, 1], out=out)
+    for b in range(2, r):
+        out += cross[0, :, b]
+    return out
+
+
 def _captured(members, frames):
     """||W' V||_F^2 for every frame V of a (K, r, p) stack and every member
-    W of a (B, r, p) stack, both of transposed frames, as a (K, B) array: one
-    GEMM of the row matrix of frames against that of members, then a sum of
-    squares over each r x r block by r - 1 strided adds per axis."""
+    W of a (B, r, p) stack, both of transposed frames, as a (K, B) array:
+    one GEMM of the row matrix of frames against that of members, then a
+    sum of squares over each r x r block."""
     count, r, p = members.shape
     cross = frames.reshape(-1, p) @ members.reshape(count * r, p).T
-    cross *= cross
-    cross = cross.reshape(*frames.shape[:2], count, r)
-    sums = cross[:, 0]
-    for i in range(1, cross.shape[1]):
-        sums = sums + cross[:, i]
-    total = sums[..., 0]
-    for j in range(1, r):
-        total = total + sums[..., j]
-    return total
+    blocks = cross.reshape(len(frames), r, count, r).transpose(1, 0, 3, 2)
+    return _block_sums(blocks, np.empty((len(frames), count)))
+
+
+def _net_rows(members, finish):
+    """A rows(idx, cols) callback of _greedy_net_counts over a (n, r, p)
+    stack of transposed member frames, computed in one fixed workspace.
+
+    The workspace is allocated once per net and sized from the stack, not
+    from the calls: the candidate block by _row_block, the chunk of points
+    by _ROW_BYTES.  Each chunk of cols is gathered into one buffer, row 0
+    of every point first, then row 1, and so on; one GEMM against the
+    candidates' rows, held the same way, fills a second; _block_sums turns
+    the products into ||W_i' W_j||_F^2 by the operations of _captured, in
+    its order; and finish(sq, idx, part, scratch) makes those squared
+    distances in place, where part is the chunk of cols and scratch the
+    spent GEMM buffer.  The returned array is a view of the workspace.
+    """
+    size, r, p = members.shape
+    block = _row_block(members)
+    chunk = min(size, max(1, _ROW_BYTES // (8 * r * (p + r * block))))
+    flat = members.reshape(size * r, p)
+    lanes = np.arange(r)[:, None]
+    gathered = np.empty(r * chunk * p)
+    cross = np.empty(r * block * r * chunk)
+    chunk_sq = np.empty(block * chunk)
+    out = np.empty(block * size)
+
+    def rows(idx, cols):
+        count = len(idx)
+        frames = flat[idx * r + lanes].reshape(r * count, p)
+        sq = out[:count * len(cols)].reshape(count, len(cols))
+        for start in range(0, len(cols), chunk):
+            part = cols[start:start + chunk]
+            width = len(part)
+            # the indices are in range; unlike the default "raise", "wrap"
+            # writes straight into out
+            points = np.take(flat, part * r + lanes, axis=0, mode="wrap",
+                             out=gathered[:r * width * p].reshape(r, width, p))
+            prod = np.matmul(frames, points.reshape(r * width, p).T,
+                             out=cross[:r * count * r * width].reshape(r * count, r * width))
+            # a chunk short of the whole row is finished in a contiguous
+            # buffer: in-place arithmetic on a strided view runs slower
+            seg = sq if width == len(cols) else chunk_sq[:count * width].reshape(count, width)
+            finish(_block_sums(prod.reshape(r, count, r, width), seg), idx, part, cross)
+            if seg is not sq:
+                sq[:, start:start + width] = seg
+        return sq
+    return rows
+
+
+def _gram_rows(members):
+    """Squared projector distances 2 (r - ||W_i' W_j||_F^2) between the
+    members of a (n, r, p) stack of transposed frames, as a rows(idx, cols)
+    callback of _greedy_net_counts."""
+    r = members.shape[1]
+
+    def finish(sq, idx, part, scratch):
+        np.subtract(r, sq, out=sq)
+        sq *= 2.0
+    return _net_rows(members, finish)
 
 
 def _gram_distances(members, frames):
@@ -371,8 +479,7 @@ def covering_number_estimate(cset: constraints.ConstraintSet, epsilon: float,
     _check_scales(epsilon)
     _check_budget(budget)
     members = np.concatenate(list(_draw_blocks(cset, constraints.as_generator(seed), budget)))
-    counts, _ = _greedy_net_counts(
-        [epsilon], members, lambda idx: _gram_distances(members, members[idx]))
+    counts, _ = _greedy_net_counts([epsilon], members, _gram_rows(members))
     return int(counts[0])
 
 
@@ -401,15 +508,23 @@ def _draw_tangent_stack(cset, center, budget, rng):
     return np.concatenate(frames), np.concatenate(overlaps), np.concatenate(norms)
 
 
-def _tangent_distance_rows(members, overlaps, norms, idx):
-    """Frobenius distances from each tangent element of the index array idx
-    to every element of a (n, r, p) stack of transposed member frames, as a
-    (len(idx), n) array."""
-    inner = _captured(members, members[idx])
+def _tangent_distance_rows(members, overlaps, norms):
+    """Squared Frobenius distances 2 - 2 (c - o_j - o_i + r) / (n_j n_i)
+    between the tangent elements of a (n, r, p) stack of transposed member
+    frames, as a rows(idx, cols) callback of _greedy_net_counts, where
+    c = ||W_i' W_j||_F^2 and o and n are the center overlaps and norms,
+    evaluated in that order."""
     r = members.shape[1]
-    numer = inner - overlaps - overlaps[idx, None] + r
-    sq = 2.0 - 2.0 * numer / (norms * norms[idx, None])
-    return np.sqrt(np.clip(sq, 0.0, None))
+
+    def finish(sq, idx, part, scratch):
+        sq -= overlaps[part]
+        sq -= overlaps[idx, None]
+        sq += r
+        sq *= 2.0
+        sq /= np.multiply(norms[part], norms[idx, None],
+                          out=scratch[:sq.size].reshape(sq.shape))
+        np.subtract(2.0, sq, out=sq)
+    return _net_rows(members, finish)
 
 
 def dudley_estimate(cset: constraints.ConstraintSet, center: OrthonormalFrame,
@@ -440,8 +555,7 @@ def dudley_estimate(cset: constraints.ConstraintSet, center: OrthonormalFrame,
     if drawn is not None:
         members, overlaps, norms = drawn
         counts, _ = _greedy_net_counts(
-            grid, members,
-            lambda idx: _tangent_distance_rows(members, overlaps, norms, idx))
+            grid, members, _tangent_distance_rows(members, overlaps, norms))
         unresolved = counts == len(members)
     logs = np.where(counts > 0, np.log(np.maximum(counts, 1)), 0.0)
     return EntropyEstimate(grid, logs, budget, unresolved)

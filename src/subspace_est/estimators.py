@@ -150,13 +150,17 @@ def iterative_projection_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
     random member, at most five times, before raising RankDeficient; the
     result counts the restarts.
 
-    The checkpoint is Brent's: the iterate after each power-of-two step,
-    voided by a restart until the next one.  The step from an iterate to
-    the next is deterministic, so once an iterate repeats the checkpoint,
-    the loop would only go round a cycle whose every member it has visited
-    and whose every step failed the test: the best frame, its value, the
-    step test's outcome and the restarts are final, and running on to
-    max_iter would change only the step count.
+    The checkpoint is the iterate after each power-of-two step, as in
+    Brent's method, and after each 16th step, voided by a restart until the
+    next one.  The 16th steps catch every cycle of period at most 16 one
+    period after the first checkpoint inside it, however late the cycle
+    starts, where powers of two alone miss cycles entered after step 128
+    under the default max_iter of 200.  The step from an iterate to the next is deterministic, so
+    once an iterate repeats the checkpoint, the loop would only go round a
+    cycle whose every member it has visited and whose every step failed the
+    test: the best frame, its value, the step test's outcome and the
+    restarts are final, and running on to max_iter would change only the
+    step count.
 
     All slices run as one stacked block.  The spectral init is one stacked
     eigh and projection; the random init is one draw that every slice starts
@@ -183,7 +187,7 @@ def iterative_projection_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
     # every live slot steps once a pass, so all have taken the same steps
     steps = 0
     restarts = np.zeros(count, dtype=int)
-    # Brent's checkpoint and its objective; no slot holds one before step 1
+    # the checkpoint and its objective; no slot holds one before step 1
     mark, mark_val, marked = cur, values, np.zeros(count, dtype=bool)
     trial = np.arange(count)  # the trial whose loop each slot holds
     results = [None] * count
@@ -213,7 +217,7 @@ def iterative_projection_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
             cycled[slot] = nxt[slot].tobytes() == mark[slot].tobytes()
         cur = nxt
         steps += 1
-        if steps & (steps - 1) == 0:
+        if steps & (steps - 1) == 0 or steps % 16 == 0:
             mark, mark_val, marked = nxt, values, np.ones(trial.size, dtype=bool)
         finished = converged | cycled | (steps >= config.max_iter)
         if not finished.any():

@@ -208,14 +208,15 @@ def test_net_outputs_same_at_every_block_size(monkeypatch, r, rows_per_block):
     # candidate at a time, whatever the block size
     want = _net_outputs(r)
     blocks = []
-    captured = entropy._captured
+    engine = entropy._greedy_net_counts
 
-    def spy(members, frames):
-        if len(members) in want:
-            blocks.append((len(members), len(frames)))
-        return captured(members, frames)
+    def spy(grid, members, rows):
+        def recorded(idx, cols):
+            blocks.append((len(members), len(idx)))
+            return rows(idx, cols)
+        return engine(grid, members, recorded)
 
-    monkeypatch.setattr(entropy, "_captured", spy)
+    monkeypatch.setattr(entropy, "_greedy_net_counts", spy)
     for size, outputs in want.items():
         rows = size if rows_per_block == "all" else rows_per_block
         monkeypatch.setattr(entropy, "_ROW_BYTES", 8 * size * r * r * rows)
@@ -231,7 +232,8 @@ def test_net_outputs_same_at_every_block_size(monkeypatch, r, rows_per_block):
 def _nested_net_counts(grid, dist):
     """Nested greedy net sizes from an explicit distance matrix, one point
     at a time: from the largest scale down, a point joins the net when it
-    is at least eps from every center so far."""
+    is at least eps from every center so far.  Also returns the centers of
+    the finest net in the order they joined."""
     centers = []
     counts = []
     for eps in grid[::-1]:
@@ -239,7 +241,98 @@ def _nested_net_counts(grid, dist):
             if i not in centers and all(dist[i, c] >= eps for c in centers):
                 centers.append(i)
         counts.append(len(centers))
-    return counts[::-1]
+    return counts[::-1], centers
+
+
+def test_squared_floor_is_the_least_float_whose_root_reaches_eps():
+    # x >= floor must mean sqrt(clip(x, 0)) >= eps for every float x
+    for eps in (5e-324, 1e-200, 1e-8, 0.3, 1.0, math.sqrt(2.0),
+                np.nextafter(np.sqrt(2.0), 0.0), 1e154, 2e154, 1e300):
+        floor = entropy._squared_floor(eps)
+        below = math.nextafter(floor, 0.0)
+        assert math.sqrt(floor) >= eps > math.sqrt(below)
+        for x in (floor, below, math.nextafter(floor, math.inf), eps * eps,
+                  0.0, -0.0, -1e-16, math.inf, math.nan):
+            root = np.sqrt(np.clip(x, 0.0, None))
+            assert (x >= floor) == (root >= eps), (eps, x)
+
+
+def _scales_between(dist):
+    """The midpoints between consecutive distinct entries of a distance
+    matrix, entries within 1e-9 of each other counted as one, so that no
+    rounding of a distance crosses a scale."""
+    values = np.unique(np.round(dist, 9))
+    return (values[:-1] + values[1:]) / 2.0
+
+
+def _assert_net_matches_matrix(monkeypatch, members, make_rows, dist,
+                               rows_per_block):
+    """The nested nets of make_rows(members) equal those of the explicit
+    distance matrix at every scale between its entries, with blocks of
+    rows_per_block candidates (None: the configured block); returns the
+    lowest squared distance the rows gave."""
+    size, r, _ = members.shape
+    if rows_per_block is not None:
+        monkeypatch.setattr(entropy, "_ROW_BYTES", 8 * size * r * r * rows_per_block)
+    rows = make_rows(members)
+    every = np.arange(size)
+    block = entropy._row_block(members)
+    lowest = min(rows(every[start:start + block], every).min()
+                 for start in range(0, size, block))
+    # repeated draws: some squared distance is zero or rounds below it
+    assert lowest <= 0.0
+    grid = _scales_between(dist)
+    counts, is_center = entropy._greedy_net_counts(grid, members, rows)
+    want, centers = _nested_net_counts(grid, dist)
+    assert counts.tolist() == want
+    assert np.flatnonzero(is_center).tolist() == sorted(centers)
+    # a draw that a coarser net covers joins a finer net after a later
+    # center of the coarser, so the open draws are not a tail of the stream
+    coarser = [_nested_net_counts(grid[level:], dist)[1] for level in range(1, len(grid))]
+    assert any(i < max(coarse) for coarse in coarser for i in set(centers) - set(coarse))
+    return lowest
+
+
+# sets whose draws repeat: the 32 sign lines at p = 6, and the 6 coordinate
+# planes of sparse k = r = 2 at p = 4
+_REPEATING = [("signs", 6, 1), ("sparse:k=2", 4, 2)]
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, None])
+@pytest.mark.parametrize("text, p, r", _REPEATING)
+def test_gram_net_matches_explicit_distance_matrix(monkeypatch, text, p, r,
+                                                   rows_per_block):
+    # the open-point rows in the workspace against projector distances
+    # compared one pair at a time, chunked when the block is small
+    cset = constraints.parse_constraint(text, p, r)
+    members = np.concatenate(list(entropy._draw_blocks(
+        cset, constraints.as_generator(0), 150)))
+    frames = [OrthonormalFrame(w.T) for w in members]
+    dist = np.array([[subspace_distance(a, b) for b in frames] for a in frames])
+    lowest = _assert_net_matches_matrix(monkeypatch, members, entropy._gram_rows,
+                                        dist, rows_per_block)
+    assert lowest < 0.0
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, None])
+@pytest.mark.parametrize("text, p, r", _REPEATING)
+def test_tangent_net_matches_explicit_distance_matrix(monkeypatch, text, p, r,
+                                                      rows_per_block):
+    # the same against normalized p x p projector differences
+    cset = constraints.parse_constraint(text, p, r)
+    center = constraints.random_member(cset, 0)
+    members, overlaps, norms = entropy._draw_tangent_stack(
+        cset, center, 150, constraints.as_generator(1))
+    proj = center.values @ center.values.T
+    tangents = np.array([wt.T @ wt - proj for wt in members])
+    tangents /= np.linalg.norm(tangents, axis=(1, 2))[:, None, None]
+    dist = np.array([np.linalg.norm(tangents - t, axis=(1, 2)) for t in tangents])
+    lowest = _assert_net_matches_matrix(
+        monkeypatch, members,
+        lambda stack: entropy._tangent_distance_rows(stack, overlaps, norms),
+        dist, rows_per_block)
+    # the sign tangents of a repeated draw meet at exactly zero
+    assert lowest < 0.0 or text == "signs"
 
 
 def test_dudley_counts_match_sequential_tangent_net():
@@ -257,7 +350,7 @@ def test_dudley_counts_match_sequential_tangent_net():
     tangents = np.array(tangents)
     dist = np.array([np.linalg.norm(tangents - t, axis=(1, 2)) for t in tangents])
     grid = np.geomspace(0.4, 1.4, 12)
-    counts = _nested_net_counts(grid, dist)
+    counts, _ = _nested_net_counts(grid, dist)
     # resolved at every scale, from nearly every draw down to a single center
     assert len(tangents) > counts[0] > 100 and counts[-1] == 1
     est = dudley_estimate(cset, center, epsilon_grid=grid, budget=150, seed=1)
@@ -277,6 +370,45 @@ def test_covering_estimate_peak_memory_below_three_member_stacks():
     finally:
         tracemalloc.stop()
     assert peak < 3 * stack_bytes, peak / stack_bytes
+
+
+def test_dudley_peak_memory_below_three_member_stacks():
+    # the tangent stack is drawn in bounded blocks and the net's rows are
+    # computed in a workspace bounded by _ROW_BYTES
+    cset = constraints.nonneg(64, 2)
+    center = constraints.random_member(cset, 0)
+    budget = 4000
+    stack_bytes = budget * 64 * 2 * 8
+    tracemalloc.start()
+    try:
+        dudley_estimate(cset, center, budget=budget, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * stack_bytes, peak / stack_bytes
+
+
+@pytest.mark.parametrize("text", ["sparse:k=8", "nonneg"])
+def test_benchmark_dudley_computes_each_pair_about_once(monkeypatch, text):
+    # the p = 64 benchmark estimate at seed 0: rows over the open points
+    # only compute well under the n^2 entries of full rows
+    engine = entropy._greedy_net_counts
+    entries = []
+
+    def spy(grid, members, rows):
+        entries.append(len(members) ** 2)
+
+        def counted(idx, cols):
+            entries.append(-len(idx) * len(cols))
+            return rows(idx, cols)
+        return engine(grid, members, counted)
+
+    monkeypatch.setattr(entropy, "_greedy_net_counts", spy)
+    cset = constraints.parse_constraint(text, 64, 2)
+    dudley_estimate(cset, constraints.random_member(cset, 0), budget=1000, seed=1)
+    full, computed = entries[0], -sum(entries[1:])
+    assert full >= 990 ** 2
+    assert computed <= 0.6 * full, computed / full
 
 
 def test_covering_estimate_degenerate_cases():
@@ -397,11 +529,14 @@ def test_tangent_distance_rows_match_projector_differences():
         fro = np.linalg.norm(diff)
         assert norm == pytest.approx(fro, abs=1e-12)
         tangents.append(diff / fro)
-    rows = entropy._tangent_distance_rows(members, overlaps, norms,
-                                          np.arange(len(tangents)))
-    for j in range(len(tangents)):
-        explicit = [np.linalg.norm(t - tangents[j]) for t in tangents]
-        assert rows[j] == pytest.approx(explicit, abs=1e-6)
+    rows = entropy._tangent_distance_rows(members, overlaps, norms)
+    every = np.arange(len(tangents))
+    for idx, cols in ((every, every), (every[1::3], np.array([0, 3, 4, 9, 11]))):
+        dist = np.sqrt(np.clip(rows(idx, cols), 0.0, None))
+        assert dist.shape == (len(idx), len(cols))
+        for i, row in zip(idx, dist):
+            explicit = [np.linalg.norm(tangents[c] - tangents[i]) for c in cols]
+            assert row == pytest.approx(explicit, abs=1e-6)
 
 
 @pytest.mark.parametrize("r", [1, 2])

@@ -168,13 +168,19 @@ def _reference_orthonormalize(m):
     return OrthonormalFrame(q * signs)
 
 
+def _checkpoint(step):
+    """Whether the reference loop keeps the iterate after this step."""
+    return step & (step - 1) == 0 or step % 16 == 0
+
+
 def _reference_iterative(m, cset, config, exit_on_repeat=True):
     """The power loop before the lean step: a p x p projector-distance step
     test, a separate objective() matmul, and SVD-then-QR orthonormalization,
-    started from the public one-slice init.  With exit_on_repeat it keeps
-    Brent's checkpoint, the iterate after each power-of-two step, voided by a
-    restart, and stops as "cycled" when an iterate repeats it bit for bit;
-    without, it runs to the cap, as the loop did before that exit."""
+    started from the public one-slice init.  With exit_on_repeat it keeps a
+    checkpoint, the iterate after each power-of-two step and each 16th step,
+    voided by a restart, and stops as "cycled" when an iterate repeats it
+    bit for bit; without, it runs to the cap, as the loop did before that
+    exit."""
     if config.init == "random":
         current = constraints.random_member(cset, config.init_seed)
     else:
@@ -196,7 +202,7 @@ def _reference_iterative(m, cset, config, exit_on_repeat=True):
                 best, best_val = current, value
             iterations += 1
             mark = None
-            if iterations & (iterations - 1) == 0:
+            if _checkpoint(iterations):
                 mark = (current.values.tobytes(), value)
             continue
         value = objective(nxt, m)
@@ -212,7 +218,7 @@ def _reference_iterative(m, cset, config, exit_on_repeat=True):
         if exit_on_repeat and mark == (current.values.tobytes(), value):
             status = "cycled"
             break
-        if iterations & (iterations - 1) == 0:
+        if _checkpoint(iterations):
             mark = (current.values.tobytes(), value)
     return estimators.IterationResult(best, best_val, iterations, status, restarts)
 
@@ -225,7 +231,8 @@ def _references(m, cset, config):
 
 def _assert_matches_references(got, refs, label):
     """got equals the checkpoint reference in every field, and the cap-only
-    reference in all but the step count, which only a cycled loop cuts."""
+    reference in all but the step count, which only a cycled loop cuts; a
+    cycle can also be seen at the cap itself."""
     want, capped = refs
     for ref in (want, capped):
         assert np.array_equal(got.frame.values, ref.frame.values), label
@@ -234,7 +241,8 @@ def _assert_matches_references(got, refs, label):
         assert got.restarts == ref.restarts, label
     assert (got.iterations, got.status) == (want.iterations, want.status), label
     if got.status == "cycled":
-        assert got.iterations < capped.iterations, label
+        assert capped.status == "capped", label
+        assert got.iterations <= capped.iterations, label
     else:
         assert (got.iterations, got.status) == (capped.iterations, capped.status), label
 
@@ -474,6 +482,9 @@ def test_sparse_benchmark_block_cycles_and_matches_cap_only_loop():
         for index, got in enumerate(gots):
             _assert_matches_references(got, refs[index], (size, index))
     assert any(g.status == "cycled" and g.iterations < 200 for g in gots)
+    # a cycle entered after step 128, which power-of-two checkpoints alone
+    # would leave to run to the cap, is cut by the 16th steps
+    assert any(g.status == "cycled" and g.iterations > 128 + 16 for g in gots)
 
 
 def test_spectral_step_without_member_raises_degenerate():
