@@ -23,7 +23,9 @@ are computed in a workspace allocated once per net and bounded by
 _ROW_BYTES: the open points are gathered in chunks, and one GEMM per chunk
 serves the whole block.  Member distances take the Gram form and tangent
 norms the residual form; both agree with per-pair products to rounding,
-and golden tests pin the counts they give.
+and golden tests pin the counts they give.  Blocks admit the centers of a
+one-at-a-time net given bit-equal rows; a GEMM's last bits can depend on
+its shape, so the tests check block-size invariance on their inputs.
 """
 
 from __future__ import annotations
@@ -257,11 +259,13 @@ def greedy_local_packing(cset: constraints.ConstraintSet, center: OrthonormalFra
     _check_scales(epsilon)
     _check_budget(budget)
     threshold = alpha * epsilon
-    u = _transposed(center.values[None])
+    u = center.values
     # the center is row 0 whatever its rounded self-distance reads
-    inside = [u]
+    inside = [_transposed(u[None])]
     for block in _draw_blocks(cset, constraints.as_generator(seed), budget):
-        inside.append(block[_gram_distances(block, u)[0] <= epsilon])
+        captured = _center_overlaps(block.reshape(-1, cset.p) @ u)
+        dist = np.sqrt(np.clip(2.0 * (cset.r - captured), 0.0, None))
+        inside.append(block[dist <= epsilon])
     points = np.concatenate(inside)
     # a net at the next float above alpha * epsilon admits exactly the
     # points farther than alpha * epsilon from every earlier admission
@@ -329,7 +333,10 @@ def _greedy_net_counts(grid, members, rows) -> tuple:
     while still eligible after the earlier admissions of the block.  Within
     a scale distances to the centers only fall, so a point skipped once
     stays ineligible, and the blocks admit exactly the centers one point at
-    a time would.
+    a time would, given bit-equal rows.  A row's last bits can depend on
+    the shape of its product (with OpenBLAS 0.3.31, on the chunk width and
+    the column's position in it), so block-size invariance is checked on
+    the tests' inputs, not guaranteed by construction.
     """
     size = len(members)
     block = _row_block(members)
@@ -379,15 +386,15 @@ def _block_sums(cross, out):
     return out
 
 
-def _captured(members, frames):
-    """||W' V||_F^2 for every frame V of a (K, r, p) stack and every member
-    W of a (B, r, p) stack, both of transposed frames, as a (K, B) array:
-    one GEMM of the row matrix of frames against that of members, then a
-    sum of squares over each r x r block."""
-    count, r, p = members.shape
-    cross = frames.reshape(-1, p) @ members.reshape(count * r, p).T
-    blocks = cross.reshape(len(frames), r, count, r).transpose(1, 0, 3, 2)
-    return _block_sums(blocks, np.empty((len(frames), count)))
+def _center_overlaps(cross):
+    """||W_j' U||_F^2 for each member W_j of a (B, r, p) stack of transposed
+    frames, from the (B r, r) product cross of its row matrix with the
+    center U, squared in place and summed by _block_sums, U's columns
+    first.  A GEMM's last bits can depend on its shape, so these equal the
+    U' W orientation's overlaps on the goldens' inputs, not by construction."""
+    r = cross.shape[1]
+    blocks = cross.reshape(-1, r, r).transpose(2, 1, 0)[:, None]
+    return _block_sums(blocks, np.empty((1, blocks.shape[3])))[0]
 
 
 def _net_rows(members, finish):
@@ -399,10 +406,10 @@ def _net_rows(members, finish):
     by _ROW_BYTES.  Each chunk of cols is gathered into one buffer, row 0
     of every point first, then row 1, and so on; one GEMM against the
     candidates' rows, held the same way, fills a second; _block_sums turns
-    the products into ||W_i' W_j||_F^2 by the operations of _captured, in
-    its order; and finish(sq, idx, part, scratch) makes those squared
-    distances in place, where part is the chunk of cols and scratch the
-    spent GEMM buffer.  The returned array is a view of the workspace.
+    the products into ||W_i' W_j||_F^2; and finish(sq, idx, part, scratch)
+    makes those squared distances in place, where part is the chunk of cols
+    and scratch the spent GEMM buffer.  The returned array is a view of the
+    workspace.
     """
     size, r, p = members.shape
     block = _row_block(members)
@@ -449,14 +456,6 @@ def _gram_rows(members):
     return _net_rows(members, finish)
 
 
-def _gram_distances(members, frames):
-    """Projector distances sqrt(2 (r - ||W' V||_F^2)) from every frame V of
-    a (K, r, p) stack to every member W of a (B, r, p) stack, both of
-    transposed frames, as a (K, B) array."""
-    return np.sqrt(np.clip(2.0 * (members.shape[1] - _captured(members, frames)),
-                           0.0, None))
-
-
 def _draw_blocks(cset, rng, budget):
     """Yield budget draws of the generator rng as checked, C-ordered
     (b, r, p) blocks of transposed member frames, each at most _DRAW_BYTES."""
@@ -489,7 +488,6 @@ def _draw_tangent_stack(cset, center, budget, rng):
     draw whose projector equals the center's is skipped.
     """
     u = center.values
-    ut = _transposed(u[None])
     frames, overlaps, norms = [], [], []
     for members in _draw_blocks(cset, rng, budget):
         cross = members.reshape(-1, u.shape[0]) @ u
@@ -501,7 +499,7 @@ def _draw_tangent_stack(cset, center, budget, rng):
         norm = math.sqrt(2.0) * frobenius_norms(resid)
         keep = ~(norm < 1e-9)
         frames.append(members[keep])
-        overlaps.append(_captured(frames[-1], ut)[0])
+        overlaps.append(_center_overlaps(cross)[keep])
         norms.append(norm[keep])
     if not any(len(f) for f in frames):
         return None

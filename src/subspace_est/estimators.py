@@ -249,16 +249,11 @@ def _sign_patterns(n: int) -> np.ndarray:
 def exhaustive_argmax(cset: constraints.ConstraintSet, m: np.ndarray) -> OrthonormalFrame:
     """Global maximizer of u' M u over sign vectors, one representative per
     antipodal pair, ties resolved toward the lexicographically smallest
-    pattern.  Only for the sign-vector constraint with p <= 20."""
-    if cset.kind != constraints.SIGNS:
-        raise DimensionMismatch("exhaustive search only covers sign vectors")
-    n = cset.p
-    if n > _EXHAUSTIVE_LIMIT:
-        raise TooLarge(f"2^{n - 1} sign patterns exceed the n = {_EXHAUSTIVE_LIMIT} cap")
-    patterns = _sign_patterns(n)
-    scores = np.einsum("ij,jk,ik->i", patterns, m, patterns) / n
-    winner = int(np.argmax(scores))  # first maximum = lexicographically smallest
-    return OrthonormalFrame(patterns[winner][:, None] / np.sqrt(n))
+    pattern: the one-slice case of estimate_batch's exhaustive method, which
+    checks M's shape and scale.  Only for the sign-vector constraint with
+    p <= 20."""
+    config = EstimatorConfig(method=EXHAUSTIVE)
+    return estimate_batch(np.asarray(m, dtype=float)[None], cset, config)[0].frame
 
 
 def estimate_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
@@ -268,9 +263,10 @@ def estimate_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
 
     Iterative projection runs the slices as one block
     (iterative_projection_batch).  Spectral truncation is one stacked eigh
-    and projection, and exhaustive search runs slice by slice.  Neither
-    takes power steps: they report 0 iterations, converged, and the
-    objective value of their frame.  ms is never written.
+    and projection, and exhaustive search scores each slice against one
+    sign table for the stack.  Neither takes power steps: they report 0
+    iterations, converged, and the objective value of their frame, which is
+    checked once, as the result's OrthonormalFrame.  ms is never written.
     """
     if config is None:
         config = EstimatorConfig()
@@ -280,9 +276,15 @@ def estimate_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
     if config.method == SPECTRAL:
         frames = _spectral_members(ms, cset)
     else:
-        frames = np.empty((len(ms), cset.p, cset.r))
-        for slot, m in enumerate(ms):
-            frames[slot] = exhaustive_argmax(cset, m).values
+        n = cset.p
+        if cset.kind != constraints.SIGNS:
+            raise DimensionMismatch("exhaustive search only covers sign vectors")
+        if n > _EXHAUSTIVE_LIMIT:
+            raise TooLarge(f"2^{n - 1} sign patterns exceed the n = {_EXHAUSTIVE_LIMIT} cap")
+        patterns = _sign_patterns(n)
+        winners = [int(np.argmax(np.einsum("ij,jk,ik->i", patterns, m, patterns) / n))
+                   for m in ms]  # first maximum = lexicographically smallest
+        frames = patterns[winners][:, :, None] / np.sqrt(n)
     values = (frames * (ms @ frames)).sum(axis=(1, 2))
     return [IterationResult(OrthonormalFrame(frame), value, 0, CONVERGED)
             for frame, value in zip(frames, values.tolist())]

@@ -99,9 +99,8 @@ class SpectrumSpec:
         return np.asarray(self.values, dtype=float)
 
     @classmethod
-    def flat(cls, scale: float, rank: int, conditioning: float = 2.0) -> "SpectrumSpec":
-        return cls(values=(float(scale),) * rank, scale=float(scale),
-                   conditioning=conditioning)
+    def flat(cls, scale: float, rank: int) -> "SpectrumSpec":
+        return cls(values=(float(scale),) * rank, scale=float(scale))
 
 
 def _as_matrix(u) -> np.ndarray:

@@ -400,13 +400,36 @@ def test_entropy_non_finite_bounds_exit_two_without_warnings(tmp_path, capsys):
 _SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
+def _src_env():
+    """The environment with src/ first on PYTHONPATH, for running the
+    package as a module from an uninstalled checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (os.path.abspath(_SRC),
+                                                       env.get("PYTHONPATH"))))
+    return env
+
+
+def test_module_entry_point_passes_main_exit_code(tmp_path):
+    # README's python -m subspace_est.cli form, as its own process
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "subspace_est.cli", *args],
+                              env=_src_env(), capture_output=True, text=True)
+
+    version = run("--version")
+    assert version.returncode == 0
+    assert version.stdout.strip() == "subspace-est 0.1.0"
+    no_trials = run("risk", "--family", "wigner", "--p", "8", "--r", "1", "--t", "3",
+                    "--sigma", "1", "--constraint", "none", "--out", str(tmp_path / "risk"))
+    assert no_trials.returncode == 2
+    assert "missing required option --trials" in no_trials.stderr
+    assert not (tmp_path / "risk").exists()
+
+
 def test_entropy_p64_same_bytes_at_one_and_two_blas_threads(tmp_path):
     # the greedy net's block products are wide enough for the BLAS to
     # thread; the two entropy commands of the p = 64 benchmark must not
     # depend on it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (os.path.abspath(_SRC),
-                                                       env.get("PYTHONPATH"))))
+    env = _src_env()
     outputs = {}
     for threads in ("1", "2"):
         env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads

@@ -201,7 +201,7 @@ def _net_outputs(r):
             budget + 1: np.stack([m.values for m in pack.members])}
 
 
-@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("rows_per_block", [1, 3, "all"])
 def test_net_outputs_same_at_every_block_size(monkeypatch, r, rows_per_block):
     # blocks of candidate centers admit exactly the centers of one
@@ -293,9 +293,10 @@ def _assert_net_matches_matrix(monkeypatch, members, make_rows, dist,
     return lowest
 
 
-# sets whose draws repeat: the 32 sign lines at p = 6, and the 6 coordinate
-# planes of sparse k = r = 2 at p = 4
-_REPEATING = [("signs", 6, 1), ("sparse:k=2", 4, 2)]
+# sets whose draws repeat: the 32 sign lines at p = 6, the 6 coordinate
+# planes of sparse k = r = 2 at p = 4, and the 10 coordinate 3-planes of
+# sparse k = r = 3 at p = 5
+_REPEATING = [("signs", 6, 1), ("sparse:k=2", 4, 2), ("sparse:k=3", 5, 3)]
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 3, None])
@@ -539,10 +540,11 @@ def test_tangent_distance_rows_match_projector_differences():
             assert row == pytest.approx(explicit, abs=1e-6)
 
 
-@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["sparse", "nonneg", "none", "subspace"])
 def test_captured_rows_match_stacked_products(kind, r):
-    # one GEMM of row matrices against one small product per pair of frames
+    # the captured mass ||W' V||^2 by _center_overlaps, from one GEMM of the
+    # members' row matrix with a frame, against one small product per member
     p = 12
     if kind == "subspace":
         basis = np.linalg.qr(np.random.default_rng(5).standard_normal((p, 5)))[0]
@@ -551,15 +553,14 @@ def test_captured_rows_match_stacked_products(kind, r):
         cset = constraints.parse_constraint(
             "sparse:k=4" if kind == "sparse" else kind, p, r)
     stack = constraints.random_members(cset, 0, 60)
-    members = entropy._transposed(stack)
+    rows = entropy._transposed(stack).reshape(-1, p)
     center = constraints.random_member(cset, 1).values
-    frames = [stack[0], stack[17], stack[59], center]
-    captured = entropy._captured(members, entropy._transposed(np.stack(frames)))
-    assert captured.shape == (len(frames), len(stack))
-    for w, row in zip(frames, captured):
+    for w in (stack[0], stack[17], stack[59], center):
+        overlaps = entropy._center_overlaps(rows @ w)
+        assert overlaps.shape == (len(stack),)
         cross = stack.swapaxes(1, 2) @ w
         explicit = np.sum(cross * cross, axis=(1, 2))
-        assert np.max(np.abs(row - explicit)) <= 1e-14
+        assert np.max(np.abs(overlaps - explicit)) <= 1e-14
 
 
 def test_entropy_estimates_reject_budget_below_one(monkeypatch):

@@ -121,6 +121,12 @@ def test_exhaustive_argmax_guards():
         exhaustive_argmax(constraints.signs(21), np.eye(21))
     with pytest.raises(DimensionMismatch):
         exhaustive_argmax(constraints.nonneg(4, 1), np.eye(4))
+    # the batch path's stack checks: a matrix of the wrong shape, and one
+    # whose scores would overflow
+    with pytest.raises(DimensionMismatch, match=r"objective stack is \(1, 5, 5\)"):
+        exhaustive_argmax(constraints.signs(4), np.eye(5))
+    with pytest.raises(DegenerateInput, match="overflow the power step at p = 4"):
+        exhaustive_argmax(constraints.signs(4), np.full((4, 4), 1e308))
 
 
 def test_estimator_config_validation():
@@ -428,6 +434,28 @@ def test_exhaustive_method_on_block_matches_one_slice_path():
             assert np.array_equal(got.frame.values, want.values), (size, start + offset)
             assert got.objective == objective(want, m), (size, start + offset)
     assert estimators.estimate_batch(np.empty((0, 12, 12)), cset, config) == []
+
+
+def test_exhaustive_stack_builds_one_sign_table_and_checks_each_frame_once(monkeypatch):
+    stack = _spectral_stack()
+    tables, frames = [], []
+    patterns, frame = estimators._sign_patterns, estimators.OrthonormalFrame
+
+    def counted_patterns(n):
+        tables.append(n)
+        return patterns(n)
+
+    def counted_frame(values):
+        frames.append(values.shape)
+        return frame(values)
+
+    monkeypatch.setattr(estimators, "_sign_patterns", counted_patterns)
+    monkeypatch.setattr(estimators, "OrthonormalFrame", counted_frame)
+    results = estimators.estimate_batch(stack, constraints.signs(12),
+                                        EstimatorConfig(method="exhaustive"))
+    assert len(results) == len(stack) > 1
+    assert tables == [12]
+    assert frames == [(12, 1)] * len(stack)
 
 
 def test_random_init_on_block_matches_one_slice_path():

@@ -78,6 +78,10 @@ def test_entropy_has_one_draw_path():
     per_member = {"random_member", "subspace_distance"}
     assert _calls(tree, per_member) == _calls(validate, per_member)
     assert _calls(tree, {"random_members"}) == ["random_members"]
+    # a draw block's one product with the center serves its tangent norm
+    # and its center overlaps; no second form of ||W' V||^2 stands beside it
+    assert not hasattr(entropy, "_captured")
+    assert not hasattr(entropy, "_gram_distances")
 
 
 def test_trial_path_keeps_no_derivable_state():
