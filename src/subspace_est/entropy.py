@@ -16,16 +16,18 @@ draw.  Nets and local packings share one draw path and one greedy loop:
 members come from one seeded stream in bounded blocks
 (constraints.random_members, bit for bit as one draw at a time), and a
 packing is the greedy net of the in-ball draws at the separation.  A net
-keeps, for each point not yet a center, its squared distance to the
-nearest center, and the rows of a block of candidate centers cover those
-open points only, since a center's distance is never read again.  The rows
-are computed in a workspace allocated once per net and bounded by
-_ROW_BYTES: the open points are gathered in chunks, and one GEMM per chunk
-serves the whole block.  Member distances take the Gram form and tangent
-norms the residual form; both agree with per-pair products to rounding,
-and golden tests pin the counts they give.  Blocks admit the centers of a
-one-at-a-time net given bit-equal rows; a GEMM's last bits can depend on
-its shape, so the tests check block-size invariance on their inputs.
+keeps, for each point not yet a center, its distance to the nearest
+center, and the rows of a block of candidate centers cover those open
+points only, since a center's distance is never read again.  The rows are
+distances, computed in a workspace allocated once per net: the open points
+are gathered in one piece, with no chunks, and one GEMM serves the whole
+block, its cross products bounded by _ROW_BYTES.  Member distances take
+the Gram form and tangent norms the residual form; both agree with
+per-pair products to rounding, and golden tests pin the counts they give.
+Blocks admit the centers of a one-at-a-time net given bit-equal rows; a
+GEMM's last bits can depend on its shape, set by the candidate block and
+the number of open points, so the tests check block-size invariance on
+their inputs.
 """
 
 from __future__ import annotations
@@ -47,9 +49,8 @@ _SLACK = 1e-9
 _DRAW_BYTES = 1 << 17
 
 # a greedy net takes its candidate centers in blocks whose cross products
-# with the whole member stack would fill at most _ROW_BYTES, and gathers the
-# points their rows cover in chunks whose rows and cross products together
-# fill at most _ROW_BYTES; wider blocks or chunks cost peak memory
+# with the whole member stack fill at most _ROW_BYTES; wider blocks cost
+# peak memory
 _ROW_BYTES = 1 << 20
 
 
@@ -296,65 +297,50 @@ def _row_block(members) -> int:
     return min(size, max(1, _ROW_BYTES // (8 * size * r * r)))
 
 
-def _squared_floor(eps: float) -> float:
-    """The least float x with sqrt(x) >= eps, for eps > 0.  Because sqrt is
-    monotone and correctly rounded, x >= this floor exactly when
-    sqrt(clip(x, 0)) >= eps; a negative x or NaN fails both."""
-    floor = eps * eps
-    while floor > 0.0 and math.sqrt(math.nextafter(floor, 0.0)) >= eps:
-        floor = math.nextafter(floor, 0.0)
-    while math.sqrt(floor) < eps:
-        floor = math.nextafter(floor, math.inf)
-    return floor
-
-
 def _greedy_net_counts(grid, members, rows) -> tuple:
     """Nested greedy net sizes over a (n, r, p) stack of transposed member
     frames, one per scale in grid, and the center mask of the net at the
     finest scale.
 
-    rows(idx, cols) returns the squared distances from each point of the
-    index array idx, at most _row_block(members) of them, to each point of
-    the index array cols, as a (len(idx), len(cols)) array that the next
-    call may overwrite.  The grid is swept from its largest scale down and
-    each net grows out of the previous one: the first point at least eps
-    from every center becomes a center, which in draw order is the
-    sequential greedy net.  Counts are therefore non-increasing in epsilon
-    by construction.
+    rows(idx, cols) returns the distances from each point of the index
+    array idx, at most _row_block(members) of them, to each point of the
+    index array cols, as a (len(idx), len(cols)) array that the next call
+    may overwrite.  The grid is swept from its largest scale down and each
+    net grows out of the previous one: the first point at least eps from
+    every center becomes a center, which in draw order is the sequential
+    greedy net.  Counts are therefore non-increasing in epsilon by
+    construction.
 
     Only the open points, those not yet centers, are tracked: a center's
     distance to the net is never read again, so each row covers the open
-    points only, and each open point keeps its squared distance to the
-    nearest center.  A point is eligible when sqrt(clip(that, 0)) >= eps,
-    tested as that >= _squared_floor(eps).  That map is monotone, so it
-    commutes with the running minimum, and the nets are those of the
-    distances sqrt(clip(rows, 0)).  Candidates are taken in blocks of the
-    next eligible points, their rows in one call, and admitted in order
-    while still eligible after the earlier admissions of the block.  Within
-    a scale distances to the centers only fall, so a point skipped once
-    stays ineligible, and the blocks admit exactly the centers one point at
-    a time would, given bit-equal rows.  A row's last bits can depend on
-    the shape of its product (with OpenBLAS 0.3.31, on the chunk width and
-    the column's position in it), so block-size invariance is checked on
-    the tests' inputs, not guaranteed by construction.
+    points only, and each open point keeps its distance to the nearest
+    center.  Candidates are taken in blocks of the next points at least eps
+    from the net, their rows in one call, and admitted in order while still
+    at least eps from the earlier admissions of the block.  Within a scale
+    distances to the centers only fall, so a point skipped once stays
+    covered, and the blocks admit exactly the centers one point at a time
+    would, given bit-equal rows.  A row's last bits can depend on the shape
+    of its product (with OpenBLAS 0.3.31, on the number of candidates and
+    open points), so block-size invariance is checked on the tests' inputs,
+    not guaranteed by construction.
     """
     size = len(members)
     block = _row_block(members)
     open_idx = np.arange(size)
-    open_sq = np.full(size, np.inf)
+    open_d = np.full(size, np.inf)
     counts = np.zeros(len(grid), dtype=np.int64)
     for level in range(len(grid) - 1, -1, -1):
-        floor = _squared_floor(grid[level])
+        eps = grid[level]
         while True:
-            candidates = np.flatnonzero(open_sq >= floor)[:block]
+            candidates = np.flatnonzero(open_d >= eps)[:block]
             if candidates.size == 0:
                 break
             stays = np.ones(open_idx.size, dtype=bool)
             for pos, row in zip(candidates, rows(open_idx[candidates], open_idx)):
-                if open_sq[pos] >= floor:
+                if open_d[pos] >= eps:
                     stays[pos] = False
-                    np.minimum(open_sq, row, out=open_sq)
-            open_idx, open_sq = open_idx[stays], open_sq[stays]
+                    np.minimum(open_d, row, out=open_d)
+            open_idx, open_d = open_idx[stays], open_d[stays]
         counts[level] = size - open_idx.size
     is_center = np.ones(size, dtype=bool)
     is_center[open_idx] = False
@@ -402,55 +388,47 @@ def _net_rows(members, finish):
     stack of transposed member frames, computed in one fixed workspace.
 
     The workspace is allocated once per net and sized from the stack, not
-    from the calls: the candidate block by _row_block, the chunk of points
-    by _ROW_BYTES.  Each chunk of cols is gathered into one buffer, row 0
-    of every point first, then row 1, and so on; one GEMM against the
-    candidates' rows, held the same way, fills a second; _block_sums turns
-    the products into ||W_i' W_j||_F^2; and finish(sq, idx, part, scratch)
-    makes those squared distances in place, where part is the chunk of cols
-    and scratch the spent GEMM buffer.  The returned array is a view of the
-    workspace.
+    from the calls: a gather buffer for the whole stack, and cross products
+    and rows for a candidate block of _row_block.  All of cols is gathered
+    in one piece, row 0 of every point first, then row 1, and so on; one
+    GEMM against the candidates' rows, held the same way, fills the cross
+    products; _block_sums turns them into ||W_i' W_j||_F^2; finish(sq, idx,
+    cols, scratch) makes those squared distances in place, scratch the spent
+    GEMM buffer; and their roots, negatives clipped to zero, are the
+    distances returned, a view of the workspace.
     """
     size, r, p = members.shape
     block = _row_block(members)
-    chunk = min(size, max(1, _ROW_BYTES // (8 * r * (p + r * block))))
     flat = members.reshape(size * r, p)
     lanes = np.arange(r)[:, None]
-    gathered = np.empty(r * chunk * p)
-    cross = np.empty(r * block * r * chunk)
-    chunk_sq = np.empty(block * chunk)
+    gathered = np.empty(r * size * p)
+    cross = np.empty(r * block * r * size)
     out = np.empty(block * size)
 
     def rows(idx, cols):
-        count = len(idx)
+        count, width = len(idx), len(cols)
         frames = flat[idx * r + lanes].reshape(r * count, p)
-        sq = out[:count * len(cols)].reshape(count, len(cols))
-        for start in range(0, len(cols), chunk):
-            part = cols[start:start + chunk]
-            width = len(part)
-            # the indices are in range; unlike the default "raise", "wrap"
-            # writes straight into out
-            points = np.take(flat, part * r + lanes, axis=0, mode="wrap",
-                             out=gathered[:r * width * p].reshape(r, width, p))
-            prod = np.matmul(frames, points.reshape(r * width, p).T,
-                             out=cross[:r * count * r * width].reshape(r * count, r * width))
-            # a chunk short of the whole row is finished in a contiguous
-            # buffer: in-place arithmetic on a strided view runs slower
-            seg = sq if width == len(cols) else chunk_sq[:count * width].reshape(count, width)
-            finish(_block_sums(prod.reshape(r, count, r, width), seg), idx, part, cross)
-            if seg is not sq:
-                sq[:, start:start + width] = seg
-        return sq
+        # the indices are in range; unlike the default "raise", "wrap"
+        # writes straight into out
+        points = np.take(flat, cols * r + lanes, axis=0, mode="wrap",
+                         out=gathered[:r * width * p].reshape(r, width, p))
+        prod = np.matmul(frames, points.reshape(r * width, p).T,
+                         out=cross[:r * count * r * width].reshape(r * count, r * width))
+        dist = _block_sums(prod.reshape(r, count, r, width),
+                           out[:count * width].reshape(count, width))
+        finish(dist, idx, cols, cross)
+        np.clip(dist, 0.0, None, out=dist)
+        return np.sqrt(dist, out=dist)
     return rows
 
 
 def _gram_rows(members):
-    """Squared projector distances 2 (r - ||W_i' W_j||_F^2) between the
-    members of a (n, r, p) stack of transposed frames, as a rows(idx, cols)
-    callback of _greedy_net_counts."""
+    """Projector distances, from their squares 2 (r - ||W_i' W_j||_F^2),
+    between the members of a (n, r, p) stack of transposed frames, as a
+    rows(idx, cols) callback of _greedy_net_counts."""
     r = members.shape[1]
 
-    def finish(sq, idx, part, scratch):
+    def finish(sq, idx, cols, scratch):
         np.subtract(r, sq, out=sq)
         sq *= 2.0
     return _net_rows(members, finish)
@@ -507,19 +485,19 @@ def _draw_tangent_stack(cset, center, budget, rng):
 
 
 def _tangent_distance_rows(members, overlaps, norms):
-    """Squared Frobenius distances 2 - 2 (c - o_j - o_i + r) / (n_j n_i)
-    between the tangent elements of a (n, r, p) stack of transposed member
-    frames, as a rows(idx, cols) callback of _greedy_net_counts, where
-    c = ||W_i' W_j||_F^2 and o and n are the center overlaps and norms,
-    evaluated in that order."""
+    """Frobenius distances between the tangent elements of a (n, r, p)
+    stack of transposed member frames, from their squares
+    2 - 2 (c - o_j - o_i + r) / (n_j n_i), as a rows(idx, cols) callback of
+    _greedy_net_counts, where c = ||W_i' W_j||_F^2 and o and n are the
+    center overlaps and norms, evaluated in that order."""
     r = members.shape[1]
 
-    def finish(sq, idx, part, scratch):
-        sq -= overlaps[part]
+    def finish(sq, idx, cols, scratch):
+        sq -= overlaps[cols]
         sq -= overlaps[idx, None]
         sq += r
         sq *= 2.0
-        sq /= np.multiply(norms[part], norms[idx, None],
+        sq /= np.multiply(norms[cols], norms[idx, None],
                           out=scratch[:sq.size].reshape(sq.shape))
         np.subtract(2.0, sq, out=sq)
     return _net_rows(members, finish)

@@ -239,8 +239,9 @@ def _sign_patterns(n: int) -> np.ndarray:
     order where +1 sorts before -1."""
     count = 1 << (n - 1)
     idx = np.arange(count, dtype=np.uint64)[:, None]
-    shifts = np.arange(n - 1, dtype=np.uint64)[None, :]
-    bits = (idx >> (np.uint64(n - 2) - shifts)) & np.uint64(1)
+    # entry j + 1 reads bit n - 2 - j; n = 1 has no such entries
+    shifts = np.arange(n - 1, dtype=np.uint64)[None, ::-1]
+    bits = (idx >> shifts) & np.uint64(1)
     patterns = np.ones((count, n))
     patterns[:, 1:] = 1.0 - 2.0 * bits
     return patterns

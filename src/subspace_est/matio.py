@@ -27,7 +27,12 @@ def read_matrix(path) -> np.ndarray:
         if len(parts) != 3 or parts[0] != "#":
             raise ValueError(f"{path}: bad matrix header {header!r}")
         rows, cols = int(parts[1]), int(parts[2])
-        m = np.loadtxt(fh, delimiter=",", ndmin=2)
+        body = fh.read()
+    if rows < 1 or cols < 1:
+        raise ValueError(f"{path}: header says {rows} x {cols}, not a matrix")
+    if not body.strip():
+        raise ValueError(f"{path}: header says {rows} x {cols}, data is empty")
+    m = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
     if m.shape != (rows, cols):
         raise ValueError(f"{path}: header says {rows} x {cols}, data is {m.shape}")
     if not np.isfinite(m).all():

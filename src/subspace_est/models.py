@@ -123,7 +123,8 @@ class SampledInstance:
 def sample_instance(spec: ModelSpec, cset: constraints.ConstraintSet,
                     truth_frame: OrthonormalFrame | None = None,
                     trial_index: int = 0) -> SampledInstance:
-    """Draw one observation with the planted frame taken from cset.
+    """Draw one observation with the planted frame taken from cset, which
+    for clustering must be the sign vectors.
 
     Draw order within the trial stream is fixed (truth, then the right frame
     where one exists, then noise), so identical specs reproduce the identical
@@ -133,6 +134,8 @@ def sample_instance(spec: ModelSpec, cset: constraints.ConstraintSet,
         raise DimensionMismatch(
             f"constraint ambient {cset.p} x {cset.r} does not match model "
             f"({spec.frame_dim} x {spec.rank})")
+    if spec.family == CLUSTERING and cset != constraints.signs(spec.n):
+        raise ValueError(f"clustering plants a sign vector, so needs signs, got {cset.kind}")
     rng = constraints.as_generator(spec.seed, trial_index)
     if truth_frame is not None:
         if not constraints.contains(cset, truth_frame, tol=1e-8):

@@ -294,6 +294,18 @@ def test_oracle_same_at_every_block_size(tmp_path, monkeypatch):
         assert _oracle(tmp_path / f"b{size}", 12, 20, 6, 30, 3) == want, size
 
 
+def test_oracle_and_exhaustive_risk_at_one_entry(tmp_path):
+    # signs(1) has one member, so every method finds the truth
+    payload = json.loads(_oracle(tmp_path / "oracle", 1, 4, 3, 3, 0))
+    assert payload == {"agree_count": 3, "mean_d_gap": 0.0, "trials": 3}
+    out = tmp_path / "risk"
+    argv = ["risk", "--family", "clustering", "--n", "1", "--p", "4", "--r", "1",
+            "--t", "3", "--sigma", "1", "--constraint", "signs", "--trials", "2",
+            "--method", "exhaustive", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads((out / "risk.json").read_text())["mean_d"] == 0.0
+
+
 def test_simulate_non_finite_subspace_basis_exit_two(tmp_path):
     qfile = tmp_path / "Q.csv"
     write_matrix(qfile, np.full((40, 3), np.nan))
@@ -610,6 +622,31 @@ _REFUSALS = {
                                ["estimate", "--in", "{tmp}/in", "--family", "wigner",
                                 "--r", "1", "--constraint", "none", "--out", "{tmp}/out"],
                                3, "cannot read {tmp}/in/Y.csv"),
+    # refused before numpy reads the body: no empty-input warning
+    "truncated matrix file": ({"in/Y.csv": "# 2 2\n"},
+                              ["estimate", "--in", "{tmp}/in", "--family", "wigner",
+                               "--r", "1", "--constraint", "none", "--out", "{tmp}/out"],
+                              3, "malformed matrix file {tmp}/in/Y.csv: {tmp}/in/Y.csv: "
+                                 "header says 2 x 2, data is empty"),
+    "matrix header of no entries": ({"in/Y.csv": "# 0 0\n"},
+                                    ["estimate", "--in", "{tmp}/in", "--family", "wigner",
+                                     "--r", "1", "--constraint", "none", "--out",
+                                     "{tmp}/out"],
+                                    3, "malformed matrix file {tmp}/in/Y.csv: "
+                                       "{tmp}/in/Y.csv: header says 0 x 0, not a matrix"),
+    # a clustering truth is a sign vector, whose signs are the labels
+    "clustering risk under none": ({}, ["risk", "--family", "clustering", "--n", "12",
+                                        "--p", "30", "--r", "1", "--t", "5", "--sigma", "1",
+                                        "--constraint", "none", "--trials", "5",
+                                        "--out", "{tmp}/out"],
+                                   2, "ValueError: clustering plants a sign vector, "
+                                      "so needs signs, got none"),
+    "clustering simulate under nonneg": ({}, ["simulate", "--family", "clustering",
+                                              "--n", "12", "--p", "30", "--r", "1",
+                                              "--t", "5", "--sigma", "1",
+                                              "--constraint", "nonneg", "--out", "{tmp}/out"],
+                                         2, "ValueError: clustering plants a sign vector, "
+                                            "so needs signs, got nonneg"),
     # the write of risk.json fails on the directory of that name
     "output name taken by a directory": ({"res/risk.json/keep": ""},
                                          [*_WIGNER_RISK, "--out", "{tmp}/res"],
@@ -624,5 +661,7 @@ def test_cli_refusal_exit_code_and_message(tmp_path, capsys, case):
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
-    assert capsys.readouterr().err.startswith(f"error: {message.format(tmp=tmp_path)}")
+    err = capsys.readouterr().err
+    # the error is the one line on stderr
+    assert err.startswith(f"error: {message.format(tmp=tmp_path)}") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()

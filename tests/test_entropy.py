@@ -244,19 +244,6 @@ def _nested_net_counts(grid, dist):
     return counts[::-1], centers
 
 
-def test_squared_floor_is_the_least_float_whose_root_reaches_eps():
-    # x >= floor must mean sqrt(clip(x, 0)) >= eps for every float x
-    for eps in (5e-324, 1e-200, 1e-8, 0.3, 1.0, math.sqrt(2.0),
-                np.nextafter(np.sqrt(2.0), 0.0), 1e154, 2e154, 1e300):
-        floor = entropy._squared_floor(eps)
-        below = math.nextafter(floor, 0.0)
-        assert math.sqrt(floor) >= eps > math.sqrt(below)
-        for x in (floor, below, math.nextafter(floor, math.inf), eps * eps,
-                  0.0, -0.0, -1e-16, math.inf, math.nan):
-            root = np.sqrt(np.clip(x, 0.0, None))
-            assert (x >= floor) == (root >= eps), (eps, x)
-
-
 def _scales_between(dist):
     """The midpoints between consecutive distinct entries of a distance
     matrix, entries within 1e-9 of each other counted as one, so that no
@@ -269,8 +256,7 @@ def _assert_net_matches_matrix(monkeypatch, members, make_rows, dist,
                                rows_per_block):
     """The nested nets of make_rows(members) equal those of the explicit
     distance matrix at every scale between its entries, with blocks of
-    rows_per_block candidates (None: the configured block); returns the
-    lowest squared distance the rows gave."""
+    rows_per_block candidates (None: the configured block)."""
     size, r, _ = members.shape
     if rows_per_block is not None:
         monkeypatch.setattr(entropy, "_ROW_BYTES", 8 * size * r * r * rows_per_block)
@@ -279,8 +265,8 @@ def _assert_net_matches_matrix(monkeypatch, members, make_rows, dist,
     block = entropy._row_block(members)
     lowest = min(rows(every[start:start + block], every).min()
                  for start in range(0, size, block))
-    # repeated draws: some squared distance is zero or rounds below it
-    assert lowest <= 0.0
+    # repeated draws: their distance is exactly zero, its square clipped
+    assert lowest == 0.0
     grid = _scales_between(dist)
     counts, is_center = entropy._greedy_net_counts(grid, members, rows)
     want, centers = _nested_net_counts(grid, dist)
@@ -290,7 +276,6 @@ def _assert_net_matches_matrix(monkeypatch, members, make_rows, dist,
     # center of the coarser, so the open draws are not a tail of the stream
     coarser = [_nested_net_counts(grid[level:], dist)[1] for level in range(1, len(grid))]
     assert any(i < max(coarse) for coarse in coarser for i in set(centers) - set(coarse))
-    return lowest
 
 
 # sets whose draws repeat: the 32 sign lines at p = 6, the 6 coordinate
@@ -304,15 +289,14 @@ _REPEATING = [("signs", 6, 1), ("sparse:k=2", 4, 2), ("sparse:k=3", 5, 3)]
 def test_gram_net_matches_explicit_distance_matrix(monkeypatch, text, p, r,
                                                    rows_per_block):
     # the open-point rows in the workspace against projector distances
-    # compared one pair at a time, chunked when the block is small
+    # compared one pair at a time
     cset = constraints.parse_constraint(text, p, r)
     members = np.concatenate(list(entropy._draw_blocks(
         cset, constraints.as_generator(0), 150)))
     frames = [OrthonormalFrame(w.T) for w in members]
     dist = np.array([[subspace_distance(a, b) for b in frames] for a in frames])
-    lowest = _assert_net_matches_matrix(monkeypatch, members, entropy._gram_rows,
-                                        dist, rows_per_block)
-    assert lowest < 0.0
+    _assert_net_matches_matrix(monkeypatch, members, entropy._gram_rows, dist,
+                               rows_per_block)
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 3, None])
@@ -328,12 +312,10 @@ def test_tangent_net_matches_explicit_distance_matrix(monkeypatch, text, p, r,
     tangents = np.array([wt.T @ wt - proj for wt in members])
     tangents /= np.linalg.norm(tangents, axis=(1, 2))[:, None, None]
     dist = np.array([np.linalg.norm(tangents - t, axis=(1, 2)) for t in tangents])
-    lowest = _assert_net_matches_matrix(
+    _assert_net_matches_matrix(
         monkeypatch, members,
         lambda stack: entropy._tangent_distance_rows(stack, overlaps, norms),
         dist, rows_per_block)
-    # the sign tangents of a repeated draw meet at exactly zero
-    assert lowest < 0.0 or text == "signs"
 
 
 def test_dudley_counts_match_sequential_tangent_net():
@@ -533,7 +515,7 @@ def test_tangent_distance_rows_match_projector_differences():
     rows = entropy._tangent_distance_rows(members, overlaps, norms)
     every = np.arange(len(tangents))
     for idx, cols in ((every, every), (every[1::3], np.array([0, 3, 4, 9, 11]))):
-        dist = np.sqrt(np.clip(rows(idx, cols), 0.0, None))
+        dist = rows(idx, cols)
         assert dist.shape == (len(idx), len(cols))
         for i, row in zip(idx, dist):
             explicit = [np.linalg.norm(tangents[c] - tangents[i]) for c in cols]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,22 @@ def test_exhaustive_argmax_planted_pattern():
 def test_exhaustive_argmax_tie_breaks_lexicographically():
     got = exhaustive_argmax(constraints.signs(4), np.eye(4))
     assert np.allclose(got.values[:, 0], 0.5, atol=1e-15)
+
+
+def test_exhaustive_argmax_at_one_entry_returns_the_one_member():
+    # signs(1) has the single member [1], whatever the objective's sign
+    for value in (-3.0, 0.0, 2.5):
+        result = estimate(np.array([[value]]), constraints.signs(1),
+                          EstimatorConfig(method="exhaustive"))
+        assert result.frame.values.tolist() == [[1.0]]
+        assert result.objective == value
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_sign_patterns_list_each_antipodal_pair_once_in_order(n):
+    # leading entry +1, the rest in lexicographic order with +1 first
+    want = [[1.0, *rest] for rest in itertools.product([1.0, -1.0], repeat=n - 1)]
+    assert estimators._sign_patterns(n).tolist() == want
 
 
 def test_exhaustive_argmax_guards():

@@ -148,6 +148,17 @@ def test_clustering_is_rank_one_denoising_of_the_n_by_p_matrix():
         assert np.array_equal(a.truth_right.values, b.truth_right.values)
 
 
+@pytest.mark.parametrize("cset", [constraints.unconstrained(12, 1),
+                                  constraints.nonneg(12, 1)])
+def test_clustering_refuses_a_truth_other_than_a_sign_vector(cset):
+    # the labels are the signs of the truth, so no other set plants one
+    spec = models.ModelSpec(family="clustering",
+                            spectrum=SpectrumSpec.flat(6.0, 1), noise_sd=1.0,
+                            seed=5, n=12, p=30)
+    with pytest.raises(ValueError, match=f"so needs signs, got {cset.kind}"):
+        models.sample_instance(spec, cset)
+
+
 def test_provided_truth_is_checked_against_constraint():
     spec = models.ModelSpec(family="denoising",
                             spectrum=SpectrumSpec.flat(4.0, 1), noise_sd=1.0,
