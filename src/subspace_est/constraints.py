@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch
-from .geometry import (OrthonormalFrame, _as_matrix, _orthonormal_or_raise,
+from .geometry import (OrthonormalFrame, _as_frame, _as_matrix, _orthonormal_or_raise,
                        frobenius_norms, orthonormalize_batch)
 
 SPARSE = "sparse"
@@ -111,11 +111,8 @@ def unconstrained(p: int, r: int) -> ConstraintSet:
 
 
 def contains(cset: ConstraintSet, frame: OrthonormalFrame, tol: float = 1e-8) -> bool:
-    """Membership test at entrywise tolerance tol (frame must be orthonormal)."""
-    if frame.p != cset.p or frame.r != cset.r:
-        raise DimensionMismatch(
-            f"frame is {frame.p} x {frame.r}, constraint ambient is {cset.p} x {cset.r}")
-    m = frame.values
+    """Membership test at entrywise tolerance tol (arrays must pass as frames)."""
+    m = _as_frame(frame, (cset.p, cset.r)).values
     if cset.kind == UNCONSTRAINED:
         return True
     if cset.kind == SPARSE:
@@ -247,8 +244,10 @@ def project_batch(cset: ConstraintSet, stack) -> tuple:
     False where slice i has no member (a rank-deficient input block), and
     members[i] is then meaningless; every "signs" and "nonneg" slice has one.
     The members are raw arrays; callers check orthonormality when they make
-    frames of them.  Each slice comes out bit for bit as a call on that slice
-    alone.
+    frames of them.  Callers refuse non-finite slices: a thin QR reads one as
+    rank deficient, but "nonneg" returns ok with a NaN member and "signs"
+    maps NaN to -1/sqrt(p).  Each slice comes out bit for bit as a call on
+    that slice alone.
 
     Rules per kind: "signs" takes entrywise signs (with sign(0) := +1) over
     sqrt(p); "subspace" re-orthonormalizes the basis-plane projection;
@@ -284,16 +283,10 @@ def project_batch(cset: ConstraintSet, stack) -> tuple:
 
 
 def project(cset: ConstraintSet, u) -> OrthonormalFrame:
-    """Map a frame or matrix to a member of the constraint set: the one-slice
-    case of project_batch.  Raises DegenerateInput where no member exists and
-    ValueError on an input with NaN or infinite entries."""
-    m = _as_matrix(u)
-    if m.shape != (cset.p, cset.r):
-        raise DimensionMismatch(
-            f"input is {m.shape[0]} x {m.shape[1]}, constraint ambient is {cset.p} x {cset.r}")
-    if not np.isfinite(m).all():
-        raise ValueError("cannot project an input with non-finite entries")
-    members, ok = project_batch(cset, m[None])
+    """Map a p x r frame or matrix to a member of the constraint set: the
+    one-slice case of project_batch.  Raises DegenerateInput where no member
+    exists, and as _as_matrix does on a bad input."""
+    members, ok = project_batch(cset, _as_matrix(u, (cset.p, cset.r))[None])
     if not ok[0]:
         raise DegenerateInput(f"no {cset.kind} member for this input")
     return OrthonormalFrame(members[0])

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import constraints
 from .errors import BudgetExhausted, DimensionMismatch, InfeasibleParameters
-from .geometry import (OrthonormalFrame, check_orthonormal, frobenius_norms,
+from .geometry import (OrthonormalFrame, _as_frame, check_orthonormal, frobenius_norms,
                        subspace_distance)
 
 _SLACK = 1e-9
@@ -253,13 +253,14 @@ def greedy_local_packing(cset: constraints.ConstraintSet, center: OrthonormalFra
     far.  The center seeds the packing, so a single-element set means no
     candidate survived.  The count is a lower estimate of the packing number.
     Raises ValueError unless epsilon is finite and positive and budget is at
-    least 1.
+    least 1; the center is checked as dudley_estimate's is.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     _check_scales(epsilon)
     _check_budget(budget)
     threshold = alpha * epsilon
+    center = _as_frame(center, (cset.p, cset.r))
     u = center.values
     # the center is row 0 whatever its rounded self-distance reads
     inside = [_transposed(u[None])]
@@ -515,7 +516,8 @@ def dudley_estimate(cset: constraints.ConstraintSet, center: OrthonormalFrame,
     zero at every scale, so both integrals vanish.  A scale whose net takes every
     drawn tangent element is flagged unresolved.  Raises
     ValueError, before any draw, unless the grid has two or more distinct
-    scales, each finite and positive, and budget is at least 1.
+    scales, each finite and positive, and budget is at least 1; the center
+    must be a frame of the set's shape (geometry._as_frame).
     """
     if epsilon_grid is None:
         epsilon_grid = np.geomspace(0.01, math.sqrt(2.0), 24)
@@ -524,8 +526,8 @@ def dudley_estimate(cset: constraints.ConstraintSet, center: OrthonormalFrame,
         raise ValueError(f"need two or more distinct epsilon scales, got {np.unique(grid).size}")
     _check_scales(grid)
     _check_budget(budget)
-    rng = constraints.as_generator(seed)
-    drawn = _draw_tangent_stack(cset, center, budget, rng)
+    center = _as_frame(center, (cset.p, cset.r))
+    drawn = _draw_tangent_stack(cset, center, budget, constraints.as_generator(seed))
     counts = np.zeros(grid.size, dtype=np.int64)
     unresolved = np.zeros(grid.size, dtype=bool)
     if drawn is not None:

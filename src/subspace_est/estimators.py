@@ -20,7 +20,8 @@ import numpy as np
 
 from . import constraints
 from .errors import DegenerateInput, DimensionMismatch, RankDeficient, TooLarge
-from .geometry import OrthonormalFrame, frobenius_norms, orthonormalize_batch
+from .geometry import (OrthonormalFrame, _as_frame, _as_matrix, frobenius_norms,
+                       orthonormalize_batch)
 
 ITERATIVE = "iterative"
 EXHAUSTIVE = "exhaustive"
@@ -78,8 +79,9 @@ class IterationResult:
 
 
 def objective(frame: OrthonormalFrame, m: np.ndarray) -> float:
-    """The trace form tr(U' M U)."""
-    return float(np.sum(frame.values * (m @ frame.values)))
+    """The trace form tr(U' M U) (arrays must pass as frames)."""
+    u = _as_frame(frame).values
+    return float(np.sum(u * (_as_matrix(m, (u.shape[0],) * 2) @ u)))
 
 
 def _top_eigenvectors(ms: np.ndarray, rank: int) -> np.ndarray:
@@ -96,9 +98,7 @@ def _top_eigenvectors(ms: np.ndarray, rank: int) -> np.ndarray:
 def _symmetric(m) -> np.ndarray:
     """(M + M') / 2 of a square matrix, which is M itself when M is
     symmetric."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"need a square matrix, got shape {m.shape}")
+    m = _as_matrix(m, np.shape(m)[:1] * 2)  # as many columns as rows
     return (m + m.T) / 2.0
 
 
@@ -128,6 +128,8 @@ def _check_stack(ms: np.ndarray, cset: constraints.ConstraintSet) -> None:
             f"objective stack is {ms.shape}, constraint ambient is {cset.p}")
     # p^2 max|M| bounds every entry of M U, objective sum and sign score
     scale = float(max(ms.max(initial=0.0), -ms.min(initial=0.0)))
+    if not math.isfinite(scale):
+        raise DegenerateInput("objective stack has non-finite entries")
     if not math.isfinite(cset.p * cset.p * scale):
         raise DegenerateInput(
             f"objective entries up to {scale:.6g} overflow the power step at p = {cset.p}")
@@ -187,8 +189,8 @@ def iterative_projection_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
     # every live slot steps once a pass, so all have taken the same steps
     steps = 0
     restarts = np.zeros(count, dtype=int)
-    # the checkpoint and its objective; no slot holds one before step 1
-    mark, mark_val, marked = cur, values, np.zeros(count, dtype=bool)
+    # the checkpoint; no slot holds one before step 1
+    mark, marked = cur, np.zeros(count, dtype=bool)
     trial = np.arange(count)  # the trial whose loop each slot holds
     results = [None] * count
     while trial.size:
@@ -210,15 +212,13 @@ def iterative_projection_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
         # a restart takes no step test
         step = np.sqrt(2.0) * frobenius_norms(nxt - cur @ (cur.transpose(0, 2, 1) @ nxt))
         converged = ok & (step < config.tol)
-        # the objectives screen the candidates; the bytes tell +0.0 from -0.0
+        # equal bit patterns, so +0.0 and -0.0 differ
         marked &= ok
-        cycled = marked & (values == mark_val)
-        for slot in np.flatnonzero(cycled) if cycled.any() else ():
-            cycled[slot] = nxt[slot].tobytes() == mark[slot].tobytes()
+        cycled = marked & (nxt.view(np.int64) == mark.view(np.int64)).all(axis=(1, 2))
         cur = nxt
         steps += 1
         if steps & (steps - 1) == 0 or steps % 16 == 0:
-            mark, mark_val, marked = nxt, values, np.ones(trial.size, dtype=bool)
+            mark, marked = nxt, np.ones(trial.size, dtype=bool)
         finished = converged | cycled | (steps >= config.max_iter)
         if not finished.any():
             continue
@@ -228,9 +228,9 @@ def iterative_projection_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
                 OrthonormalFrame(best[slot].copy()), float(best_val[slot]),
                 steps, status, int(restarts[slot]))
         live = ~finished
-        ms, cur, mu, best, best_val, restarts, mark, mark_val, marked, trial = (
+        ms, cur, mu, best, best_val, restarts, mark, marked, trial = (
             arr[live] for arr in (ms, cur, mu, best, best_val, restarts,
-                                  mark, mark_val, marked, trial))
+                                  mark, marked, trial))
     return results
 
 
@@ -254,7 +254,7 @@ def exhaustive_argmax(cset: constraints.ConstraintSet, m: np.ndarray) -> Orthono
     checks M's shape and scale.  Only for the sign-vector constraint with
     p <= 20."""
     config = EstimatorConfig(method=EXHAUSTIVE)
-    return estimate_batch(np.asarray(m, dtype=float)[None], cset, config)[0].frame
+    return estimate_batch(_as_matrix(m)[None], cset, config)[0].frame
 
 
 def estimate_batch(ms: np.ndarray, cset: constraints.ConstraintSet,

@@ -41,11 +41,7 @@ class OrthonormalFrame:
     values: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.values, dtype=float)
-        if m.ndim == 1:
-            m = m[:, None]
-        if m.ndim != 2:
-            raise DimensionMismatch(f"expected a matrix, got array of shape {m.shape}")
+        m = _as_matrix(self.values)
         p, r = m.shape
         if r < 1 or p < r:
             raise DimensionMismatch(f"need p >= r >= 1, got shape {p} x {r}")
@@ -103,13 +99,28 @@ class SpectrumSpec:
         return cls(values=(float(scale),) * rank, scale=float(scale))
 
 
-def _as_matrix(u) -> np.ndarray:
-    if isinstance(u, OrthonormalFrame):
-        return u.values
-    m = np.asarray(u, dtype=float)
+def _as_matrix(u, shape=None) -> np.ndarray:
+    """The one coercion of every public entry's frame or matrix arguments: a
+    frame's values, or a float array with a vector read as one column.
+    Raises DimensionMismatch unless the result is 2-D, and of shape when one
+    is given, and ValueError on a non-finite entry."""
+    m = u.values if isinstance(u, OrthonormalFrame) else np.asarray(u, dtype=float)
     if m.ndim == 1:
         m = m[:, None]
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected a matrix, got array of shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    if shape is not None and m.shape != shape:
+        raise DimensionMismatch(f"frame shapes differ: need {shape}, got {m.shape}")
     return m
+
+
+def _as_frame(u, shape=None) -> OrthonormalFrame:
+    """A frame argument: u, where an array must pass as an OrthonormalFrame."""
+    frame = u if isinstance(u, OrthonormalFrame) else OrthonormalFrame(u)
+    _as_matrix(frame, shape)
+    return frame
 
 
 def check_orthonormal(stack) -> None:
@@ -145,10 +156,10 @@ def orthonormalize_batch(stack) -> tuple:
     |det R| = prod |R_ii| <= s_min s_max^(r-1), the ratio s_min / s_max is
     at least prod(|R_ii| / ||R||_F), and a slice where that bound exceeds
     twice the floor is full rank with room for the rounding of both sides.
-    Only slices the bound cannot settle (zero, non-finite, badly scaled or
-    near the floor) take the singular values of R.  At r = 1 the bound is
-    exact, so only R_00 = 0 reaches them.  Each slice comes out bit for bit
-    as a call on that slice alone.
+    Only finite slices the bound cannot settle (zero, badly scaled or near
+    the floor) take the singular values of R; a non-finite R is deficient.
+    At r = 1 the bound is exact, so only R_00 = 0 reaches them.  Each slice
+    comes out bit for bit as a call on that slice alone.
     """
     q, rfac = np.linalg.qr(stack)
     count, r = rfac.shape[0], rfac.shape[-1]
@@ -162,6 +173,7 @@ def orthonormalize_batch(stack) -> tuple:
     full_rank = (bound > 2.0 * _RANK_TOL) & (squares >= sys.float_info.min)
     if not full_rank.all():
         unsettled = np.flatnonzero(~full_rank)
+        unsettled = unsettled[np.isfinite(rfac[unsettled]).all(axis=(1, 2))]
         sv = np.linalg.svd(rfac[unsettled], compute_uv=False)
         full_rank[unsettled] = ~((sv[:, 0] == 0.0) | (sv[:, -1] <= _RANK_TOL * sv[:, 0]))
     # multiplying by -1 or 1 is exact, so this is q * sign(diag) with sign(0) := 1
@@ -198,9 +210,8 @@ def subspace_distance(u1, u2) -> float:
     through the Gram identity 2(r - |U1'U2|_F^2): the identity loses half the
     significant digits near zero, where exact-match tests live.
     """
-    a, b = _as_matrix(u1), _as_matrix(u2)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"frame shapes differ: {a.shape} vs {b.shape}")
+    a = _as_matrix(u1)
+    b = _as_matrix(u2, a.shape)
     return float(np.linalg.norm(a @ a.T - b @ b.T))
 
 
@@ -211,9 +222,8 @@ def procrustes_align(u1, u2):
     r x r orthogonal matrices and residual is that minimum.  The residual and
     the projector distance d satisfy d / sqrt(2) <= residual <= d.
     """
-    a, b = _as_matrix(u1), _as_matrix(u2)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"frame shapes differ: {a.shape} vs {b.shape}")
+    a = _as_matrix(u1)
+    b = _as_matrix(u2, a.shape)
     w, _, vt = np.linalg.svd(b.T @ a)
     rotation = w @ vt
     residual = float(np.linalg.norm(a - b @ rotation))
@@ -228,9 +238,8 @@ def quadratic_form_gap(u, spectrum: SpectrumSpec, w, mode: str = "squared") -> f
     (lambda_r^2 / 2) d^2 and (lambda_1^2 / 2) d^2 with d the projector
     distance, and the linear mode likewise with lambda / 2 factors.
     """
-    a, b = _as_matrix(u), _as_matrix(w)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"frame shapes differ: {a.shape} vs {b.shape}")
+    a = _as_matrix(u)
+    b = _as_matrix(w, a.shape)
     if a.shape[1] != spectrum.rank:
         raise DimensionMismatch("spectrum rank does not match frame width")
     lam = spectrum.array

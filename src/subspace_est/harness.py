@@ -247,16 +247,18 @@ def detect_phase_transition(rows) -> PhaseTransitionFit:
     """Two-segment log-log fit of mean_d against t with an exhaustive
     breakpoint search over grid midpoints.
 
-    Needs at least 8 rows whose t values span two decades, three points per
-    segment; the breakpoint minimizing total squared residual wins, first on
-    ties, and is reported as the geometric midpoint of its bracketing grid
-    points.
+    Needs at least 8 rows of distinct t values (a repeat means another knob
+    varies: several curves) spanning two decades, three points per segment;
+    the breakpoint minimizing total squared residual wins, first on ties, and
+    is reported as the geometric midpoint of its bracketing grid points.
     """
     ordered = sorted(rows, key=lambda row: row.t)
     ts = np.asarray([row.t for row in ordered], dtype=float)
     ys = np.asarray([row.mean_d for row in ordered], dtype=float)
     if ts.size < 8:
         raise DegenerateInput("need at least 8 sweep rows")
+    if np.any(ts[1:] == ts[:-1]):
+        raise DegenerateInput("t values repeat, so the rows hold more than one curve")
     if np.any(ts <= 0) or np.any(ys <= 0):
         raise DegenerateInput("phase-transition fit needs positive t and risk")
     if ts[-1] / ts[0] < 100.0 * (1 - 1e-12):

@@ -30,7 +30,8 @@ def read_matrix(path) -> np.ndarray:
         body = fh.read()
     if rows < 1 or cols < 1:
         raise ValueError(f"{path}: header says {rows} x {cols}, not a matrix")
-    if not body.strip():
+    # a body of blank and comment lines holds no data for loadtxt to read
+    if not any(line.split("#", 1)[0].strip() for line in body.splitlines()):
         raise ValueError(f"{path}: header says {rows} x {cols}, data is empty")
     m = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
     if m.shape != (rows, cols):

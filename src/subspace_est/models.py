@@ -30,7 +30,7 @@ import numpy as np
 from . import constraints
 from .errors import (BoundViolated, ConstraintViolation, DegenerateInput,
                      DimensionMismatch, NotPositiveDefinite, TooFewRows)
-from .geometry import OrthonormalFrame, SpectrumSpec, procrustes_align
+from .geometry import OrthonormalFrame, SpectrumSpec, _as_frame, _as_matrix, procrustes_align
 
 DENOISING = "denoising"
 WISHART = "wishart"
@@ -138,9 +138,9 @@ def sample_instance(spec: ModelSpec, cset: constraints.ConstraintSet,
         raise ValueError(f"clustering plants a sign vector, so needs signs, got {cset.kind}")
     rng = constraints.as_generator(spec.seed, trial_index)
     if truth_frame is not None:
-        if not constraints.contains(cset, truth_frame, tol=1e-8):
+        truth = _as_frame(truth_frame)
+        if not constraints.contains(cset, truth, tol=1e-8):
             raise ConstraintViolation("truth_frame is not a member of the constraint")
-        truth = truth_frame
     else:
         truth = constraints.random_member(cset, rng)
     lam = spec.spectrum.array
@@ -208,10 +208,9 @@ def kl_spiked_wishart(ui: OrthonormalFrame, uj: OrthonormalFrame, t: float,
                       sigma: float, n: int) -> float:
     """KL divergence between n-sample spiked covariance models with flat
     spectra t and frames ui, uj:  n t^2 (r - ||ui' uj||_F^2) / (2 s^2 (s^2 + t))."""
-    if ui.values.shape != uj.values.shape:
-        raise DimensionMismatch("frames must share a shape")
-    gram = ui.values.T @ uj.values
-    gap = max(ui.r - float(np.sum(gram * gram)), 0.0)
+    a = _as_frame(ui).values
+    gram = a.T @ _as_frame(uj, a.shape).values
+    gap = max(a.shape[1] - float(np.sum(gram * gram)), 0.0)
     s2 = sigma * sigma
     return n * t * t * gap / (2.0 * s2 * (s2 + t))
 
@@ -224,14 +223,14 @@ def _check_spd(cov: np.ndarray, name: str) -> None:
 
 def kl_gaussian_generic(mean0, cov0, mean1, cov1) -> float:
     """KL(N(mean0, cov0) || N(mean1, cov1)), the standard closed form
-    (trace + quadratic + log-determinant terms)."""
+    (trace + quadratic + log-determinant terms), of p-vector means and
+    p x p covariances."""
     mean0 = np.asarray(mean0, dtype=float).ravel()
     mean1 = np.asarray(mean1, dtype=float).ravel()
-    cov0 = np.asarray(cov0, dtype=float)
-    cov1 = np.asarray(cov1, dtype=float)
     p = mean0.size
-    if mean1.size != p or cov0.shape != (p, p) or cov1.shape != (p, p):
+    if mean1.size != p:
         raise DimensionMismatch("mean/covariance shapes are inconsistent")
+    cov0, cov1 = _as_matrix(cov0, (p, p)), _as_matrix(cov1, (p, p))
     _check_spd(cov0, "cov0")
     _check_spd(cov1, "cov1")
     solve = np.linalg.solve
@@ -248,12 +247,12 @@ def kl_denoising_fixed(ui: OrthonormalFrame, uj: OrthonormalFrame,
                        sigma: float) -> float:
     """KL divergence between denoising models sharing the right frame v0,
     after rotating uj onto ui:  ||(ui - uj O) diag(spectrum) v0'||_F^2 / (2 s^2)."""
-    if ui.values.shape != uj.values.shape:
-        raise DimensionMismatch("frames must share a shape")
-    if v0.r != ui.r:
+    a = _as_frame(ui).values
+    b = _as_frame(uj, a.shape).values
+    if _as_frame(v0).r != a.shape[1]:
         raise DimensionMismatch("right frame width must match rank")
-    rotation, residual = procrustes_align(ui, uj)
-    diff = (ui.values - uj.values @ rotation) * spectrum.array
+    rotation, residual = procrustes_align(a, b)
+    diff = (a - b @ rotation) * spectrum.array
     value = float(np.sum(diff * diff)) / (2.0 * sigma * sigma)
     lam1 = spectrum.values[0]
     bound = (lam1 * residual) ** 2 / (2.0 * sigma * sigma)

@@ -185,6 +185,18 @@ def test_sweep_eight_point_grid(tmp_path):
                          "slope_low", "t_break"}
 
 
+def test_sweep_over_two_knobs_writes_no_fit(tmp_path):
+    # each t value appears once per sigma, so the rows hold two curves and
+    # no one phase-transition fit spans them
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--family", "wigner", "--p", "12", "--r", "1", "--constraint", "none",
+            "--trials", "4", "--t-grid", "0.5,2,8,60", "--sigma-grid", "1,3",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 9
+    assert not (out / "fits.json").exists()
+
+
 def test_constraint_knob_on_kind_without_one_exit_two(tmp_path):
     base = ["--family", "wigner", "--p", "8", "--r", "1", "--t", "6",
             "--sigma", "1", "--trials", "2"]
@@ -628,6 +640,12 @@ _REFUSALS = {
                                "--r", "1", "--constraint", "none", "--out", "{tmp}/out"],
                               3, "malformed matrix file {tmp}/in/Y.csv: {tmp}/in/Y.csv: "
                                  "header says 2 x 2, data is empty"),
+    "matrix file of comments only": ({"in/Y.csv": "# 2 2\n# nothing here\n"},
+                                     ["estimate", "--in", "{tmp}/in", "--family", "wigner",
+                                      "--r", "1", "--constraint", "none", "--out",
+                                      "{tmp}/out"],
+                                     3, "malformed matrix file {tmp}/in/Y.csv: "
+                                        "{tmp}/in/Y.csv: header says 2 x 2, data is empty"),
     "matrix header of no entries": ({"in/Y.csv": "# 0 0\n"},
                                     ["estimate", "--in", "{tmp}/in", "--family", "wigner",
                                      "--r", "1", "--constraint", "none", "--out",

@@ -165,6 +165,19 @@ def test_projection_rejects_non_finite_input():
                 project(cset, u)
 
 
+def test_stacked_projection_of_a_non_finite_slice_has_no_member():
+    # kinds whose rule ends in a thin QR read a NaN slice as rank deficient,
+    # with no SVD failure, and the other slices keep their members
+    basis = _haar(6, 3, 5)
+    for cset in (sparse(6, 2, 6), subspace(basis, 2), unconstrained(6, 2)):
+        stack = np.random.default_rng(2).standard_normal((3, 6, 2))
+        want, _ = project_batch(cset, stack)
+        stack[1, 4, 1] = np.nan
+        members, ok = project_batch(cset, stack)
+        assert list(ok) == [True, False, True], cset.kind
+        assert np.array_equal(members[[0, 2]], want[[0, 2]]), cset.kind
+
+
 def test_random_member_membership_and_determinism():
     basis = _haar(12, 5, 21)
     csets = [

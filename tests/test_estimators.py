@@ -375,6 +375,16 @@ def test_stack_whose_power_step_would_overflow_is_refused():
                                       EstimatorConfig(method=method))
 
 
+def test_stack_with_a_non_finite_entry_is_named_so():
+    for bad in (np.nan, np.inf, -np.inf):
+        stack = np.stack([np.eye(6)] * 3)
+        stack[1, 2, 3] = bad
+        for method in ("iterative", "spectral", "exhaustive"):
+            with pytest.raises(DegenerateInput, match="objective stack has non-finite entries"):
+                estimators.estimate_batch(stack, constraints.signs(6),
+                                          EstimatorConfig(method=method))
+
+
 def _every_kind():
     basis = _haar(12, 5, 31)
     return [constraints.sparse(12, 2, 4), constraints.nonneg(12, 1),

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from subspace_est import constraints, entropy, estimators, models
 from subspace_est.errors import DimensionMismatch, RankDeficient
 from subspace_est.geometry import (OrthonormalFrame, SpectrumSpec,
                                    check_orthonormal, orthonormalize,
@@ -124,18 +125,14 @@ def test_rank_bound_agrees_with_singular_value_rule():
         for i, one in enumerate(stack):
             alone_frame, alone_rank = orthonormalize_batch(one[None])
             assert alone_rank[0] == full_rank[i] and np.array_equal(alone_frame[0], frames[i])
-        # non-finite slices reach the singular values, which answer for them
-        # or refuse them as they did before the bound
+        # a non-finite slice is not full rank, with no SVD failure, and the
+        # other slices keep their answers
         for bad in (np.nan, np.inf, -np.inf):
             poisoned = stack.copy()
             poisoned[1, 0, -1] = bad
-            outcomes = []
-            for rule in (orthonormalize_batch, _svd_rank_rule):
-                try:
-                    outcomes.append(list(rule(poisoned)[1]))
-                except np.linalg.LinAlgError:
-                    outcomes.append("LinAlgError")
-            assert outcomes[0] == outcomes[1], (r, bad)
+            _, poisoned_rank = orthonormalize_batch(poisoned)
+            assert not poisoned_rank[1], (r, bad)
+            assert np.array_equal(np.delete(poisoned_rank, 1), np.delete(full_rank, 1)), (r, bad)
 
 
 def test_spectrum_spec_validation():
@@ -306,3 +303,81 @@ def test_frame_refusals(case):
 def test_spectrum_spec_refusals(values, conditioning, error, message):
     with pytest.raises(error, match=message):
         SpectrumSpec(values=values, scale=2.0, conditioning=conditioning)
+
+
+def _with_nan(m):
+    m = np.array(m, dtype=float)
+    m[0, 0] = np.nan
+    return m
+
+
+_FRAME, _MATRIX = np.eye(5, 2), np.eye(5)
+_NONE52 = constraints.unconstrained(5, 2)
+
+# every public entry that takes a frame or matrix argument, as (call with
+# that argument, a valid argument, one of another shape or of another
+# partner shape, the message that shape is refused with)
+_ENTRIES = {
+    "OrthonormalFrame": (OrthonormalFrame, _FRAME, np.ones((2, 3)), "need p >= r"),
+    "orthonormalize": (orthonormalize, _FRAME, np.ones((2, 3)), "need p >= r"),
+    "subspace_distance": (lambda u: subspace_distance(_FRAME, u), _FRAME, np.eye(6, 2),
+                          "frame shapes differ"),
+    "procrustes_align": (lambda u: procrustes_align(_FRAME, u), _FRAME, np.eye(6, 2),
+                         "frame shapes differ"),
+    "quadratic_form_gap": (lambda u: quadratic_form_gap(_FRAME, SpectrumSpec.flat(2.0, 2), u),
+                           _FRAME, np.eye(5, 3), "frame shapes differ"),
+    "project": (lambda u: constraints.project(_NONE52, u), _FRAME, np.eye(6, 2),
+                "frame shapes differ"),
+    "contains": (lambda u: constraints.contains(_NONE52, u), _FRAME, np.eye(6, 2),
+                 "frame shapes differ"),
+    "spectral_estimate": (lambda m: estimators.spectral_estimate(m, 1), _MATRIX,
+                          np.eye(5, 4), "frame shapes differ"),
+    "estimate": (lambda m: estimators.estimate(m, constraints.unconstrained(5, 1)), _MATRIX,
+                 np.eye(5, 4), "frame shapes differ"),
+    "exhaustive_argmax": (lambda m: estimators.exhaustive_argmax(constraints.signs(5), m),
+                          _MATRIX, np.eye(6), r"objective stack is \(1, 6, 6\)"),
+    "objective frame": (lambda u: estimators.objective(u, _MATRIX), _FRAME, np.ones((2, 3)),
+                        "need p >= r"),
+    "objective matrix": (lambda m: estimators.objective(_FRAME, m), _MATRIX, np.eye(6),
+                         "frame shapes differ"),
+    "sample_instance truth": (
+        lambda u: models.sample_instance(
+            models.ModelSpec("wigner", SpectrumSpec.flat(3.0, 2), 1.0, seed=0, p=5),
+            _NONE52, truth_frame=u),
+        _FRAME, np.eye(6, 2), "frame shapes differ"),
+    "kl_spiked_wishart": (lambda u: models.kl_spiked_wishart(_FRAME, u, 3.0, 1.0, 10),
+                          _FRAME, np.eye(6, 2), "frame shapes differ"),
+    "kl_denoising_fixed": (
+        lambda u: models.kl_denoising_fixed(_FRAME, u, np.eye(4, 2), SpectrumSpec.flat(3.0, 2),
+                                            1.0),
+        _FRAME, np.eye(6, 2), "frame shapes differ"),
+    "kl_gaussian_generic": (
+        lambda m: models.kl_gaussian_generic(np.zeros(5), m, np.zeros(5), _MATRIX),
+        _MATRIX, np.eye(4), "frame shapes differ"),
+    "dudley_estimate center": (lambda u: entropy.dudley_estimate(_NONE52, u, budget=20),
+                               _FRAME, np.eye(6, 2), "frame shapes differ"),
+    "greedy_local_packing center": (
+        lambda u: entropy.greedy_local_packing(_NONE52, u, 0.5, 0.5, budget=20),
+        _FRAME, np.eye(6, 2), "frame shapes differ"),
+}
+
+_BAD_INPUTS = {
+    "NaN entry": (lambda good, shaped: _with_nan(good), ValueError, "non-finite entries"),
+    "3-D array": (lambda good, shaped: np.stack([good, good]), DimensionMismatch,
+                  "expected a matrix"),
+    "wrong shape": (lambda good, shaped: shaped, DimensionMismatch, None),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_INPUTS))
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_every_entry_refuses_a_bad_frame_or_matrix_the_same_way(entry, bad):
+    # one rule (geometry._as_matrix) decides, so no entry returns nan or
+    # fails inside numpy with LinAlgError, AttributeError or a matmul or
+    # reshape error
+    call, good, shaped, shape_message = _ENTRIES[entry]
+    make, error, message = _BAD_INPUTS[bad]
+    call(good)
+    with pytest.raises(error, match=message or shape_message) as raised:
+        call(make(good, shaped))
+    assert type(raised.value) in (ValueError, DimensionMismatch)

@@ -328,3 +328,7 @@ def test_detect_phase_transition_guards():
     rows = _rows_from_curve(narrow, lambda t: 1.0 / t)
     with pytest.raises(DegenerateInput):
         detect_phase_transition(rows)
+    # a t value that repeats means a second knob varies: two curves, no one fit
+    rows = _rows_from_curve(np.repeat(np.geomspace(2.0, 2000.0, 4), 2), lambda t: 1.0 / t)
+    with pytest.raises(DegenerateInput, match="t values repeat"):
+        detect_phase_transition(rows)

@@ -11,6 +11,7 @@ from subspace_est.matio import read_matrix
     # checked before numpy reads the body, so no empty-input warning leaks
     ("# 2 2\n", "header says 2 x 2, data is empty"),
     ("# 2 2\n\n  \n", "header says 2 x 2, data is empty"),
+    ("# 2 2\n# nothing here\n", "header says 2 x 2, data is empty"),
     ("# 0 0\n", "header says 0 x 0, not a matrix"),
     ("# 0 2\n1,2\n", "header says 0 x 2, not a matrix"),
 ])

@@ -304,11 +304,11 @@ _SHAPE_REFUSALS = {
         DimensionMismatch, "constraint ambient 6 x 1 does not match model"),
     "wishart KL frames": (
         lambda: models.kl_spiked_wishart(_frame(6, 1), _frame(6, 2), 3.0, 1.0, 10),
-        DimensionMismatch, "frames must share a shape"),
+        DimensionMismatch, "frame shapes differ"),
     "denoising KL frames": (
         lambda: models.kl_denoising_fixed(_frame(6, 1), _frame(5, 1), _frame(4, 1),
                                           SpectrumSpec.flat(3.0, 1), 1.0),
-        DimensionMismatch, "frames must share a shape"),
+        DimensionMismatch, "frame shapes differ"),
     "denoising KL right frame": (
         lambda: models.kl_denoising_fixed(_frame(6, 2), _frame(6, 2, 1), _frame(4, 1),
                                           SpectrumSpec.flat(3.0, 2), 1.0),
