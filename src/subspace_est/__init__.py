@@ -13,8 +13,7 @@ from .errors import (BoundViolated, BudgetExhausted, ConstraintViolation,
                      DegenerateInput, DimensionMismatch, InfeasibleParameters,
                      NotPositiveDefinite, RankDeficient, SubspaceEstError,
                      TooFewRows, TooLarge)
-from .estimators import (EstimatorConfig, IterationResult, estimate,
-                         exhaustive_argmax, objective, spectral_estimate)
+from .estimators import EstimatorConfig, IterationResult, estimate, objective
 from .geometry import (OrthonormalFrame, SpectrumSpec, orthonormalize,
                        procrustes_align, quadratic_form_gap, subspace_distance)
 from .harness import (PhaseTransitionFit, RateFit, RiskEstimate, SweepRow,
@@ -35,14 +34,14 @@ __all__ = [
     "PhaseTransitionFit", "RankDeficient", "RateFit", "RiskEstimate",
     "SampledInstance", "SpectrumSpec", "SubspaceEstError", "SweepRow",
     "TooFewRows", "TooLarge", "contains", "covering_number_estimate",
-    "detect_phase_transition", "dudley_estimate", "estimate",
-    "exhaustive_argmax", "fit_rate", "greedy_local_packing",
+    "detect_phase_transition", "dudley_estimate", "estimate", "fit_rate",
+    "greedy_local_packing",
     "kl_denoising_fixed", "kl_gaussian_generic", "kl_spiked_wishart",
     "monte_carlo_risk", "nonneg", "objective", "objective_matrix",
     "orthonormalize", "parse_constraint", "procrustes_align", "project",
     "quadratic_form_gap", "random_member", "read_matrix", "sample_covariance",
     "sample_instance", "sign_packing_construction", "signs", "sparse",
-    "sparse_packing_construction", "spectral_estimate", "subspace",
+    "sparse_packing_construction", "subspace",
     "subspace_distance", "sweep", "theory_rate", "unconstrained",
     "vg_codebook", "write_matrix",
 ]

@@ -283,14 +283,14 @@ def _cmd_sweep(resolved: dict) -> dict:
 
 
 def _cmd_entropy(resolved: dict) -> dict:
-    bounds = (resolved["eps_min"], resolved["eps_max"])
-    if not all(0.0 < eps < math.inf for eps in bounds):
-        raise ValueError(f"eps_min and eps_max must be finite and positive, got {bounds}")
+    eps_min, eps_max = resolved["eps_min"], resolved["eps_max"]
+    entropy._check_arguments((eps_min, eps_max), resolved["budget"])
+    if eps_min > eps_max:
+        raise ValueError(f"eps_min {eps_min} exceeds eps_max {eps_max}")
     cset = constraints.parse_constraint(resolved["constraint"], resolved["p"],
                                         resolved["r"])
     center = constraints.random_member(cset, resolved["seed"])
-    grid = np.geomspace(resolved["eps_min"], resolved["eps_max"],
-                        resolved["grid_points"])
+    grid = np.geomspace(eps_min, eps_max, resolved["grid_points"])
     estimate = entropy.dudley_estimate(cset, center, epsilon_grid=grid,
                                        budget=resolved["budget"],
                                        seed=resolved["seed"] + 1)

@@ -297,6 +297,8 @@ def as_generator(seed, *key) -> np.random.Generator:
     the Philox stream of SeedSequence(seed, spawn_key=key), one per key."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if int(seed) < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     sequence = np.random.SeedSequence(int(seed), spawn_key=tuple(map(int, key)))
     return np.random.Generator(np.random.Philox(sequence))
 

@@ -257,8 +257,7 @@ def greedy_local_packing(cset: constraints.ConstraintSet, center: OrthonormalFra
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    _check_scales(epsilon)
-    _check_budget(budget)
+    _check_arguments(epsilon, budget)
     threshold = alpha * epsilon
     center = _as_frame(center, (cset.p, cset.r))
     u = center.values
@@ -278,16 +277,14 @@ def greedy_local_packing(cset: constraints.ConstraintSet, center: OrthonormalFra
                       members=members)
 
 
-def _check_budget(budget) -> None:
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1 draw, got {budget}")
-
-
-def _check_scales(scales) -> None:
-    """Raise ValueError unless every scale is finite and positive."""
+def _check_arguments(scales, budget) -> None:
+    """Raise ValueError unless every scale is finite and positive and the
+    budget is at least 1 draw."""
     for eps in np.atleast_1d(scales):
         if not 0.0 < eps < math.inf:
             raise ValueError(f"need a finite positive epsilon, got {eps}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1 draw, got {budget}")
 
 
 def _row_block(members) -> int:
@@ -454,8 +451,7 @@ def covering_number_estimate(cset: constraints.ConstraintSet, epsilon: float,
     away from all current centers.  Raises ValueError unless epsilon is finite
     and positive and budget is at least 1.
     """
-    _check_scales(epsilon)
-    _check_budget(budget)
+    _check_arguments(epsilon, budget)
     members = np.concatenate(list(_draw_blocks(cset, constraints.as_generator(seed), budget)))
     counts, _ = _greedy_net_counts([epsilon], members, _gram_rows(members))
     return int(counts[0])
@@ -524,8 +520,7 @@ def dudley_estimate(cset: constraints.ConstraintSet, center: OrthonormalFrame,
     grid = np.asarray(sorted(float(e) for e in epsilon_grid))
     if grid.size < 2 or np.any(grid[1:] == grid[:-1]):
         raise ValueError(f"need two or more distinct epsilon scales, got {np.unique(grid).size}")
-    _check_scales(grid)
-    _check_budget(budget)
+    _check_arguments(grid, budget)
     center = _as_frame(center, (cset.p, cset.r))
     drawn = _draw_tangent_stack(cset, center, budget, constraints.as_generator(seed))
     counts = np.zeros(grid.size, dtype=np.int64)

@@ -6,9 +6,9 @@ The methods work on symmetric matrices M only; models.objective_matrix
 builds M from an observation of each family.  They run on a (B, p, p) stack
 of objective matrices: the spectral step (the iteration's default init and
 the spectral method) is one stacked eigh and one stacked projection, and the
-power steps run as one block.  spectral_estimate and estimate are the
-one-slice cases; they accept any square matrix and use its symmetric part.
-Each result carries the best objective value it visited.
+power steps run as one block.  estimate is the one-slice case; it accepts
+any square matrix and uses its symmetric part.  Each result carries the
+best objective value it visited.
 """
 
 from __future__ import annotations
@@ -55,8 +55,10 @@ class EstimatorConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.init not in (SPECTRAL_INIT, RANDOM_INIT):
             raise ValueError(f"unknown init {self.init!r}")
-        if self.max_iter < 1 or not self.tol > 0:
-            raise ValueError("max_iter must be >= 1 and tol positive")
+        if self.max_iter < 1 or not 0 < self.tol < math.inf:
+            raise ValueError("max_iter must be >= 1 and tol finite and positive")
+        if self.init_seed < 0:
+            raise ValueError(f"init_seed must be non-negative, got {self.init_seed}")
 
 
 @dataclass
@@ -96,26 +98,16 @@ def _top_eigenvectors(ms: np.ndarray, rank: int) -> np.ndarray:
 
 
 def _symmetric(m) -> np.ndarray:
-    """(M + M') / 2 of a square matrix, which is M itself when M is
-    symmetric."""
+    """M / 2 + M' / 2 of a square matrix, which is M itself when M is
+    symmetric; halving first keeps a finite M's sum from overflowing."""
     m = _as_matrix(m, np.shape(m)[:1] * 2)  # as many columns as rows
-    return (m + m.T) / 2.0
-
-
-def spectral_estimate(m: np.ndarray, rank: int) -> OrthonormalFrame:
-    """Top-rank eigenvectors of the symmetric part of a square matrix, with a
-    deterministic sign convention (largest-magnitude entry of each column
-    made positive) and a stable order for tied eigenvalues."""
-    m = _symmetric(m)
-    if rank > m.shape[0]:
-        raise DimensionMismatch("rank exceeds matrix size")
-    return OrthonormalFrame(_top_eigenvectors(m[None], rank)[0])
+    return m / 2.0 + m.T / 2.0
 
 
 def _spectral_members(ms: np.ndarray, cset: constraints.ConstraintSet) -> np.ndarray:
-    """project(cset, spectral_estimate(m, cset.r)) for every slice m of a
-    (B, p, p) stack, as one (B, p, r) array; raises DegenerateInput where a
-    slice has no member."""
+    """The projections onto cset of the top cset.r eigenvectors of every
+    slice of a (B, p, p) stack, as one (B, p, r) array; raises
+    DegenerateInput where a slice has no member."""
     members, ok = constraints.project_batch(cset, _top_eigenvectors(ms, cset.r))
     if not ok.all():
         raise DegenerateInput(f"no {cset.kind} member for this input")
@@ -247,16 +239,6 @@ def _sign_patterns(n: int) -> np.ndarray:
     return patterns
 
 
-def exhaustive_argmax(cset: constraints.ConstraintSet, m: np.ndarray) -> OrthonormalFrame:
-    """Global maximizer of u' M u over sign vectors, one representative per
-    antipodal pair, ties resolved toward the lexicographically smallest
-    pattern: the one-slice case of estimate_batch's exhaustive method, which
-    checks M's shape and scale.  Only for the sign-vector constraint with
-    p <= 20."""
-    config = EstimatorConfig(method=EXHAUSTIVE)
-    return estimate_batch(_as_matrix(m)[None], cset, config)[0].frame
-
-
 def estimate_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
                    config: EstimatorConfig | None = None) -> list:
     """Dispatch on config.method over a (B, p, p) stack of objective
@@ -264,10 +246,13 @@ def estimate_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
 
     Iterative projection runs the slices as one block
     (iterative_projection_batch).  Spectral truncation is one stacked eigh
-    and projection, and exhaustive search scores each slice against one
-    sign table for the stack.  Neither takes power steps: they report 0
-    iterations, converged, and the objective value of their frame, which is
-    checked once, as the result's OrthonormalFrame.  ms is never written.
+    and projection.  Exhaustive search, for sign vectors with p <= 20 only,
+    scores each slice against one sign table for the stack and returns the
+    global maximizer of u' M u, one representative per antipodal pair, ties
+    going to the lexicographically smallest pattern.  Neither takes power
+    steps: they report 0 iterations, converged, and the objective value of
+    their frame, which is checked once, as the result's OrthonormalFrame.
+    ms is never written.
     """
     if config is None:
         config = EstimatorConfig()

@@ -222,16 +222,14 @@ def sweep(grid, base_model: models.ModelSpec, cset: constraints.ConstraintSet,
     return rows
 
 
-def fit_rate(xs, ys) -> RateFit:
-    """Ordinary least squares of ln y on ln x."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.size < 3 or xs.size != ys.size:
-        raise ValueError("need at least 3 paired points")
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValueError("log-log fit needs positive inputs")
-    lx = np.log(xs)
-    ly = np.log(ys)
+def _finite_positive(*arrays) -> bool:
+    """Whether every entry of every array is finite and positive (not NaN)."""
+    return all(np.all((a > 0) & (a < math.inf)) for a in arrays)
+
+
+def _least_squares(lx, ly) -> tuple:
+    """Ordinary least squares of ly on lx: the RateFit and its sum of
+    squared residuals."""
     if np.ptp(lx) < 1e-12:
         raise DegenerateInput("xs are constant; slope is unidentifiable")
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -240,7 +238,18 @@ def fit_rate(xs, ys) -> RateFit:
     sst = float(np.sum((ly - np.mean(ly)) ** 2))
     r_squared = 1.0 if sst <= 1e-300 else 1.0 - sse / sst
     return RateFit(slope=float(slope), intercept=float(intercept),
-                   r_squared=r_squared)
+                   r_squared=r_squared), sse
+
+
+def fit_rate(xs, ys) -> RateFit:
+    """Ordinary least squares of ln y on ln x."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.size < 3 or xs.size != ys.size:
+        raise ValueError("need at least 3 paired points")
+    if not _finite_positive(xs, ys):
+        raise ValueError("log-log fit needs finite positive inputs")
+    return _least_squares(np.log(xs), np.log(ys))[0]
 
 
 def detect_phase_transition(rows) -> PhaseTransitionFit:
@@ -259,17 +268,16 @@ def detect_phase_transition(rows) -> PhaseTransitionFit:
         raise DegenerateInput("need at least 8 sweep rows")
     if np.any(ts[1:] == ts[:-1]):
         raise DegenerateInput("t values repeat, so the rows hold more than one curve")
-    if np.any(ts <= 0) or np.any(ys <= 0):
-        raise DegenerateInput("phase-transition fit needs positive t and risk")
+    if not _finite_positive(ts, ys):
+        raise DegenerateInput("phase-transition fit needs positive t and risk, all finite")
     if ts[-1] / ts[0] < 100.0 * (1 - 1e-12):
         raise DegenerateInput("t grid must span at least two decades")
+    lt, ly = np.log(ts), np.log(ys)
     candidates = []
     for split in range(2, ts.size - 3):
-        low = fit_rate(ts[: split + 1], ys[: split + 1])
-        high = fit_rate(ts[split + 1:], ys[split + 1:])
-        sse = _segment_sse(ts[: split + 1], ys[: split + 1], low) \
-            + _segment_sse(ts[split + 1:], ys[split + 1:], high)
-        candidates.append((sse, split, low, high))
+        low, low_sse = _least_squares(lt[: split + 1], ly[: split + 1])
+        high, high_sse = _least_squares(lt[split + 1:], ly[split + 1:])
+        candidates.append((low_sse + high_sse, split, low, high))
     floor = min(c[0] for c in candidates)
     # rounding noise on an exact power law makes every split tie near zero;
     # the slack sends such ties to the first (boundary) split
@@ -279,8 +287,3 @@ def detect_phase_transition(rows) -> PhaseTransitionFit:
         t_break=math.sqrt(ts[split] * ts[split + 1]),
         slope_low=low.slope, slope_high=high.slope,
         r_squared_low=low.r_squared, r_squared_high=high.r_squared)
-
-
-def _segment_sse(ts, ys, fit: RateFit) -> float:
-    resid = np.log(ys) - (fit.slope * np.log(ts) + fit.intercept)
-    return float(np.sum(resid ** 2))

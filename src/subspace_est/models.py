@@ -44,6 +44,13 @@ _FRAME_DIMS = {DENOISING: ("p1", "p2"), CLUSTERING: ("n", "p"),
                WISHART: ("p",), WIGNER: ("p",)}
 
 
+def _check_positive(**values) -> None:
+    """Raise ValueError, naming the value, unless each is finite and positive."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Family, dimensions, planted spectrum, noise level, and master seed."""
@@ -60,10 +67,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in _FRAME_DIMS:
             raise ValueError(f"unknown family {self.family!r}")
-        if not self.noise_sd > 0:
-            raise ValueError("noise_sd must be positive")
-        if not math.isfinite(self.noise_sd):
-            raise ValueError("noise_sd must be finite")
+        _check_positive(noise_sd=self.noise_sd)
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         frames = _FRAME_DIMS[self.family]
@@ -80,8 +84,10 @@ class ModelSpec:
             raise DimensionMismatch(f"rank exceeds {' or '.join(frames)}")
         if self.family == CLUSTERING and self.rank != 1:
             raise ValueError("clustering is a rank-one family")
-        if self.family == WISHART and self.n < 2:
-            raise ValueError("wishart needs n >= 2 rows for a sample covariance")
+        # n centred rows span at most n - 1 directions
+        if self.family == WISHART and self.n <= self.rank:
+            raise ValueError(f"wishart needs n >= {self.rank + 1} rows for a sample "
+                             f"covariance of rank {self.rank}")
 
     @property
     def rank(self) -> int:
@@ -208,6 +214,7 @@ def kl_spiked_wishart(ui: OrthonormalFrame, uj: OrthonormalFrame, t: float,
                       sigma: float, n: int) -> float:
     """KL divergence between n-sample spiked covariance models with flat
     spectra t and frames ui, uj:  n t^2 (r - ||ui' uj||_F^2) / (2 s^2 (s^2 + t))."""
+    _check_positive(t=t, sigma=sigma, n=n)
     a = _as_frame(ui).values
     gram = a.T @ _as_frame(uj, a.shape).values
     gap = max(a.shape[1] - float(np.sum(gram * gram)), 0.0)
@@ -225,17 +232,16 @@ def kl_gaussian_generic(mean0, cov0, mean1, cov1) -> float:
     """KL(N(mean0, cov0) || N(mean1, cov1)), the standard closed form
     (trace + quadratic + log-determinant terms), of p-vector means and
     p x p covariances."""
-    mean0 = np.asarray(mean0, dtype=float).ravel()
-    mean1 = np.asarray(mean1, dtype=float).ravel()
-    p = mean0.size
-    if mean1.size != p:
+    mean0, mean1 = _as_matrix(mean0), _as_matrix(mean1)
+    p = mean0.shape[0]
+    if mean0.shape != (p, 1) or mean1.shape != (p, 1):
         raise DimensionMismatch("mean/covariance shapes are inconsistent")
     cov0, cov1 = _as_matrix(cov0, (p, p)), _as_matrix(cov1, (p, p))
     _check_spd(cov0, "cov0")
     _check_spd(cov1, "cov1")
     solve = np.linalg.solve
     trace_term = float(np.trace(solve(cov1, cov0)))
-    delta = mean1 - mean0
+    delta = (mean1 - mean0)[:, 0]
     quad = float(delta @ solve(cov1, delta))
     _, logdet0 = np.linalg.slogdet(cov0)
     _, logdet1 = np.linalg.slogdet(cov1)
@@ -247,10 +253,13 @@ def kl_denoising_fixed(ui: OrthonormalFrame, uj: OrthonormalFrame,
                        sigma: float) -> float:
     """KL divergence between denoising models sharing the right frame v0,
     after rotating uj onto ui:  ||(ui - uj O) diag(spectrum) v0'||_F^2 / (2 s^2)."""
+    _check_positive(sigma=sigma)
     a = _as_frame(ui).values
     b = _as_frame(uj, a.shape).values
     if _as_frame(v0).r != a.shape[1]:
         raise DimensionMismatch("right frame width must match rank")
+    if spectrum.rank != a.shape[1]:
+        raise DimensionMismatch(f"spectrum of length {spectrum.rank} for rank {a.shape[1]}")
     rotation, residual = procrustes_align(a, b)
     diff = (a - b @ rotation) * spectrum.array
     value = float(np.sum(diff * diff)) / (2.0 * sigma * sigma)

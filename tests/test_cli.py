@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from subspace_est import constraints, harness
+from subspace_est import constraints, harness, models
 from subspace_est.cli import main
 from subspace_est.matio import read_matrix, write_matrix
 
@@ -419,6 +419,48 @@ def test_entropy_non_finite_bounds_exit_two_without_warnings(tmp_path, capsys):
         assert not out.exists(), bound
         err = capsys.readouterr().err
         assert "ValueError" in err and "RuntimeWarning" not in err, bound
+
+
+def test_wishart_with_rows_at_or_below_the_rank_exit_two(tmp_path, monkeypatch, capsys):
+    # n centred rows have a covariance of rank n - 1 at most, so every lift
+    # would lose rank: the spec is refused before the first sample, also as
+    # one point of a sweep
+    samples = []
+    monkeypatch.setattr(models, "sample_instance", lambda *args, **kwargs: samples.append(args))
+    base = ["--family", "wishart", "--p", "6", "--t", "3", "--sigma", "1",
+            "--constraint", "none"]
+    cases = [
+        ["risk", *base, "--n", "3", "--r", "3", "--trials", "5"],
+        ["risk", *base, "--n", "3", "--r", "3", "--trials", "5", "--method", "spectral"],
+        ["simulate", *base, "--n", "2", "--r", "2"],
+        ["sweep", *base, "--n", "3", "--r", "1", "--r-grid", "1,2,3", "--trials", "2"],
+        ["sweep", *base, "--n", "10", "--r", "2", "--n-grid", "10,2", "--trials", "2"],
+    ]
+    for index, argv in enumerate(cases):
+        out = tmp_path / f"out{index}"
+        assert main([*argv, "--out", str(out)]) == 2, argv
+        assert not out.exists(), argv
+        assert "ValueError: wishart needs n >= " in capsys.readouterr().err, argv
+    assert samples == []
+
+
+def test_settings_that_would_mean_something_else_exit_two(tmp_path, capsys):
+    model = ["--family", "wigner", "--p", "6", "--r", "1", "--t", "4", "--sigma", "1",
+             "--constraint", "none", "--trials", "2"]
+    ent = ["entropy", "--constraint", "nonneg", "--p", "8", "--r", "2", "--budget", "50"]
+    cases = [
+        (["risk", *model, "--tol", "inf"], "max_iter must be >= 1 and tol finite and positive"),
+        (["risk", *model, "--init-seed", "-5"], "init_seed must be non-negative, got -5"),
+        (["risk", *model, "--init", "random", "--init-seed", "-5"],
+         "init_seed must be non-negative, got -5"),
+        ([*ent, "--seed", "-1"], "seed must be non-negative, got -1"),
+        ([*ent, "--eps-min", "2", "--eps-max", "0.1"], "eps_min 2.0 exceeds eps_max 0.1"),
+    ]
+    for index, (argv, message) in enumerate(cases):
+        out = tmp_path / f"out{index}"
+        assert main([*argv, "--out", str(out)]) == 2, argv
+        assert not out.exists(), argv
+        assert f"ValueError: {message}" in capsys.readouterr().err, argv
 
 
 _SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")

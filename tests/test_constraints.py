@@ -311,6 +311,13 @@ def test_random_members_match_consecutive_draws():
             assert np.array_equal(np.concatenate(blocks), stack)
 
 
+def test_negative_seed_is_refused_by_name():
+    for draw in (lambda: as_generator(-1), lambda: random_member(signs(4), -1),
+                 lambda: random_members(nonneg(5, 2), -1, 3)):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            draw()
+
+
 def _column_value(m, rows, j):
     """Worth of column j on its owned rows: the norm of their positive part,
     or the best owned entry where none is positive; None for no rows."""

@@ -7,9 +7,7 @@ from subspace_est import constraints, estimators, models
 from subspace_est.errors import (DegenerateInput, DimensionMismatch,
                                  RankDeficient, TooLarge)
 from subspace_est.estimators import (EstimatorConfig, estimate,
-                                     exhaustive_argmax,
-                                     iterative_projection_batch, objective,
-                                     spectral_estimate)
+                                     iterative_projection_batch, objective)
 from subspace_est.geometry import (OrthonormalFrame, SpectrumSpec,
                                    orthonormalize, subspace_distance)
 from subspace_est.models import objective_matrix
@@ -20,33 +18,37 @@ def _haar(p, r, seed):
     return orthonormalize(rng.standard_normal((p, r)))
 
 
+_SPECTRAL = EstimatorConfig(method="spectral")
+_EXHAUSTIVE = EstimatorConfig(method="exhaustive")
+
+
 def test_spectral_estimate_known_matrix():
     # the second input is not symmetric; its symmetric part is the first
     skewed = np.diag([5.0, 3.0, 1.0])
     skewed[2, 0], skewed[0, 2] = 0.75, -0.75
     for m in (np.diag([5.0, 3.0, 1.0]), skewed):
-        got = spectral_estimate(m, 2)
+        got = estimate(m, constraints.unconstrained(3, 2), _SPECTRAL).frame
         assert np.array_equal(np.abs(got.values), np.eye(3)[:, :2])
         assert got.values[0, 0] == 1.0 and got.values[1, 1] == 1.0
 
 
 def test_spectral_estimate_sign_convention():
     v = np.array([-0.6, 0.8])
-    got = spectral_estimate(np.outer(v, v), 1)
+    got = estimators._top_eigenvectors(np.outer(v, v)[None], 1)[0]
     # largest-magnitude entry of each column is made positive
-    assert np.allclose(got.values[:, 0], v, atol=1e-12)
+    assert np.allclose(got[:, 0], v, atol=1e-12)
 
 
 def test_spectral_estimate_tied_eigenvalues_stable():
-    got = spectral_estimate(np.eye(3), 2)
-    assert np.array_equal(got.values, np.eye(3)[:, :2])
+    got = estimators._top_eigenvectors(np.eye(3)[None], 2)[0]
+    assert np.array_equal(got, np.eye(3)[:, :2])
 
 
 def test_spectral_estimate_errors():
     with pytest.raises(DimensionMismatch):
-        spectral_estimate(np.zeros((3, 4)), 1)
+        estimate(np.zeros((3, 4)), constraints.unconstrained(3, 1), _SPECTRAL)
     with pytest.raises(DimensionMismatch):
-        spectral_estimate(np.eye(3), 4)
+        estimate(np.eye(3), constraints.unconstrained(4, 1), _SPECTRAL)
 
 
 def test_objective_matrix_families():
@@ -86,7 +88,7 @@ def test_iterative_best_visited_invariant():
     cset = constraints.sparse(20, 2, 6)
     res = estimate(m, cset, EstimatorConfig(max_iter=40))
     assert abs(objective(res.frame, m) - res.objective) <= 1e-12
-    init = constraints.project(cset, spectral_estimate(m, 2))
+    init = estimate(m, cset, _SPECTRAL).frame
     assert res.objective >= objective(init, m)
 
 
@@ -108,21 +110,20 @@ def test_iterative_noiseless_recovery_sparse():
 def test_exhaustive_argmax_planted_pattern():
     s = np.array([1.0, -1.0, -1.0, 1.0, -1.0])
     m = np.outer(s, s)
-    got = exhaustive_argmax(constraints.signs(5), m)
+    got = estimate(m, constraints.signs(5), _EXHAUSTIVE).frame
     # representative of the antipodal pair has leading entry +1
     assert np.allclose(got.values[:, 0] * np.sqrt(5), s, atol=1e-12)
 
 
 def test_exhaustive_argmax_tie_breaks_lexicographically():
-    got = exhaustive_argmax(constraints.signs(4), np.eye(4))
+    got = estimate(np.eye(4), constraints.signs(4), _EXHAUSTIVE).frame
     assert np.allclose(got.values[:, 0], 0.5, atol=1e-15)
 
 
 def test_exhaustive_argmax_at_one_entry_returns_the_one_member():
     # signs(1) has the single member [1], whatever the objective's sign
     for value in (-3.0, 0.0, 2.5):
-        result = estimate(np.array([[value]]), constraints.signs(1),
-                          EstimatorConfig(method="exhaustive"))
+        result = estimate(np.array([[value]]), constraints.signs(1), _EXHAUSTIVE)
         assert result.frame.values.tolist() == [[1.0]]
         assert result.objective == value
 
@@ -136,15 +137,15 @@ def test_sign_patterns_list_each_antipodal_pair_once_in_order(n):
 
 def test_exhaustive_argmax_guards():
     with pytest.raises(TooLarge):
-        exhaustive_argmax(constraints.signs(21), np.eye(21))
+        estimate(np.eye(21), constraints.signs(21), _EXHAUSTIVE)
     with pytest.raises(DimensionMismatch):
-        exhaustive_argmax(constraints.nonneg(4, 1), np.eye(4))
+        estimate(np.eye(4), constraints.nonneg(4, 1), _EXHAUSTIVE)
     # the batch path's stack checks: a matrix of the wrong shape, and one
-    # whose scores would overflow
+    # whose scores would overflow, which the symmetric part keeps finite
     with pytest.raises(DimensionMismatch, match=r"objective stack is \(1, 5, 5\)"):
-        exhaustive_argmax(constraints.signs(4), np.eye(5))
+        estimate(np.eye(5), constraints.signs(4), _EXHAUSTIVE)
     with pytest.raises(DegenerateInput, match="overflow the power step at p = 4"):
-        exhaustive_argmax(constraints.signs(4), np.full((4, 4), 1e308))
+        estimate(np.full((4, 4), 1e308), constraints.signs(4), _EXHAUSTIVE)
 
 
 def test_estimator_config_validation():
@@ -158,6 +159,12 @@ def test_estimator_config_validation():
         EstimatorConfig(max_iter=0)
     with pytest.raises(ValueError):
         EstimatorConfig(tol=0.0)
+    # an infinite tolerance stops every loop after one step
+    for tol in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="tol finite and positive"):
+            EstimatorConfig(tol=tol)
+    with pytest.raises(ValueError, match="init_seed must be non-negative, got -5"):
+        EstimatorConfig(init_seed=-5)
 
 
 def test_estimate_dispatch_and_determinism():
@@ -200,7 +207,7 @@ def _checkpoint(step):
 def _reference_iterative(m, cset, config, exit_on_repeat=True):
     """The power loop before the lean step: a p x p projector-distance step
     test, a separate objective() matmul, and SVD-then-QR orthonormalization,
-    started from the public one-slice init.  With exit_on_repeat it keeps a
+    started from the reference spectral init.  With exit_on_repeat it keeps a
     checkpoint, the iterate after each power-of-two step and each 16th step,
     voided by a restart, and stops as "cycled" when an iterate repeats it
     bit for bit; without, it runs to the cap, as the loop did before that
@@ -208,7 +215,7 @@ def _reference_iterative(m, cset, config, exit_on_repeat=True):
     if config.init == "random":
         current = constraints.random_member(cset, config.init_seed)
     else:
-        current = constraints.project(cset, spectral_estimate(m, cset.r))
+        current = constraints.project(cset, _reference_spectral(m, cset.r))
     best, best_val = current, objective(current, m)
     iterations, status, restarts, mark = 0, "capped", 0, None
     while iterations < config.max_iter:
@@ -410,13 +417,14 @@ def _blocks(stack):
 
 
 def _reference_spectral(m, rank):
-    """spectral_estimate as a one-slice eigh and a per-column sign loop."""
+    """The top rank eigenvectors of the symmetric part of m, from a one-slice
+    eigh in a stable order and a per-column sign loop, as a frame."""
     evals, evecs = np.linalg.eigh((m + m.T) / 2.0)
     cols = evecs[:, np.argsort(-evals, kind="stable")[:rank]].copy()
     for j in range(rank):
         if cols[np.argmax(np.abs(cols[:, j])), j] < 0:
             cols[:, j] = -cols[:, j]
-    return cols
+    return OrthonormalFrame(cols)
 
 
 def test_stacked_spectral_init_matches_one_slice_path():
@@ -426,10 +434,10 @@ def test_stacked_spectral_init_matches_one_slice_path():
     assert min(leads) < 0  # the sign rule flips some top eigenvector
     for m in stack:
         for rank in (1, 2, 3):
-            assert np.array_equal(spectral_estimate(m, rank).values,
-                                  _reference_spectral(m, rank))
+            assert np.array_equal(estimators._top_eigenvectors(m[None], rank)[0],
+                                  _reference_spectral(m, rank).values)
     for cset in _every_kind():
-        wants = [constraints.project(cset, spectral_estimate(m, cset.r)).values
+        wants = [constraints.project(cset, _reference_spectral(m, cset.r)).values
                  for m in stack]
         for size, start, block in _blocks(stack):
             got = estimators._spectral_members(block, cset)
@@ -441,7 +449,7 @@ def test_spectral_method_on_block_matches_one_slice_path():
     stack = _spectral_stack()
     config = EstimatorConfig(method="spectral")
     for cset in _every_kind():
-        wants = [constraints.project(cset, spectral_estimate(m, cset.r)) for m in stack]
+        wants = [constraints.project(cset, _reference_spectral(m, cset.r)) for m in stack]
         for size, start, block in _blocks(stack):
             for offset, got in enumerate(estimators.estimate_batch(block, cset, config)):
                 want, m = wants[start + offset], stack[start + offset]
@@ -458,7 +466,7 @@ def test_exhaustive_method_on_block_matches_one_slice_path():
     for size, start, block in _blocks(stack):
         for offset, got in enumerate(estimators.estimate_batch(block, cset, config)):
             m = stack[start + offset]
-            want = exhaustive_argmax(cset, m)
+            want = estimate(m, cset, config).frame
             assert np.array_equal(got.frame.values, want.values), (size, start + offset)
             assert got.objective == objective(want, m), (size, start + offset)
     assert estimators.estimate_batch(np.empty((0, 12, 12)), cset, config) == []
@@ -549,7 +557,7 @@ def test_spectral_step_without_member_raises_degenerate():
     cset = constraints.subspace(basis, 2)
     m = np.diag(np.arange(12.0))
     with pytest.raises(DegenerateInput):
-        constraints.project(cset, spectral_estimate(m, 2))
+        constraints.project(cset, _reference_spectral(m, 2))
     for method in ("iterative", "spectral"):
         with pytest.raises(DegenerateInput):
             estimate(m, cset, EstimatorConfig(method=method))

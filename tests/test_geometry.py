@@ -330,12 +330,12 @@ _ENTRIES = {
                 "frame shapes differ"),
     "contains": (lambda u: constraints.contains(_NONE52, u), _FRAME, np.eye(6, 2),
                  "frame shapes differ"),
-    "spectral_estimate": (lambda m: estimators.spectral_estimate(m, 1), _MATRIX,
-                          np.eye(5, 4), "frame shapes differ"),
     "estimate": (lambda m: estimators.estimate(m, constraints.unconstrained(5, 1)), _MATRIX,
                  np.eye(5, 4), "frame shapes differ"),
-    "exhaustive_argmax": (lambda m: estimators.exhaustive_argmax(constraints.signs(5), m),
-                          _MATRIX, np.eye(6), r"objective stack is \(1, 6, 6\)"),
+    "estimate exhaustive": (
+        lambda m: estimators.estimate(m, constraints.signs(5),
+                                      estimators.EstimatorConfig(method="exhaustive")),
+        _MATRIX, np.eye(6), r"objective stack is \(1, 6, 6\)"),
     "objective frame": (lambda u: estimators.objective(u, _MATRIX), _FRAME, np.ones((2, 3)),
                         "need p >= r"),
     "objective matrix": (lambda m: estimators.objective(_FRAME, m), _MATRIX, np.eye(6),

@@ -270,13 +270,19 @@ def test_fit_rate_noisy_power_law():
     assert abs(fit.slope - 2.5) <= 3.0 * se
 
 
-def test_fit_rate_guards():
+def test_fit_rate_guards(capfd):
     with pytest.raises(ValueError):
         fit_rate([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         fit_rate([1.0, 2.0, -3.0], [1.0, 2.0, 3.0])
     with pytest.raises(DegenerateInput):
         fit_rate([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+    # refused before the fit, so LAPACK prints nothing and numpy warns of nothing
+    for bad in (math.nan, math.inf):
+        for xs, ys in (([1.0, 2.0, bad], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [bad, 2.0, 3.0])):
+            with pytest.raises(ValueError, match="needs finite positive inputs"):
+                fit_rate(xs, ys)
+    assert capfd.readouterr() == ("", "")
 
 
 def _rows_from_curve(ts, fn):
@@ -319,7 +325,8 @@ def test_detect_phase_transition_guards():
     with pytest.raises(DegenerateInput):
         detect_phase_transition(rows)
     ts = np.geomspace(2.0, 2000.0, 8)
-    for bad in (dict(t=-1.0), dict(mean_d=0.0)):
+    for bad in (dict(t=-1.0), dict(mean_d=0.0), dict(t=math.nan), dict(t=math.inf),
+                dict(mean_d=math.nan), dict(mean_d=math.inf)):
         rows = _rows_from_curve(ts, lambda t: 1.0 / t)
         rows[4] = dataclasses.replace(rows[4], **bad)
         with pytest.raises(DegenerateInput, match="needs positive t and risk"):

@@ -7,7 +7,7 @@ from subspace_est import constraints, models
 from subspace_est.errors import (BoundViolated, ConstraintViolation,
                                  DimensionMismatch, NotPositiveDefinite,
                                  TooFewRows)
-from subspace_est.estimators import spectral_estimate
+from subspace_est.estimators import EstimatorConfig, estimate
 from subspace_est.geometry import (SpectrumSpec, orthonormalize,
                                    procrustes_align, subspace_distance)
 
@@ -72,7 +72,8 @@ def test_denoising_noiseless_recovers_truth():
                             noise_sd=1e-12, seed=4, p1=20, p2=15)
     cset = constraints.unconstrained(20, 2)
     inst = models.sample_instance(spec, cset)
-    top = spectral_estimate(inst.observation @ inst.observation.T, 2)
+    top = estimate(inst.observation @ inst.observation.T, cset,
+                   EstimatorConfig(method="spectral")).frame
     assert subspace_distance(top, inst.truth_left) <= 1e-6
 
 
@@ -318,6 +319,34 @@ _SHAPE_REFUSALS = {
         DimensionMismatch, "mean/covariance shapes are inconsistent"),
     "covariance of a vector": (lambda: models.sample_covariance(np.ones(5)),
                                DimensionMismatch, "expected an n x p matrix"),
+    # n centred rows have a covariance of rank n - 1 at most
+    "wishart rows at the rank": (
+        lambda: models.ModelSpec("wishart", SpectrumSpec.flat(3.0, 3), 1.0, seed=0, p=6, n=3),
+        ValueError, "wishart needs n >= 4 rows"),
+    "wishart KL zero noise": (
+        lambda: models.kl_spiked_wishart(_frame(6, 1), _frame(6, 1), 3.0, 0.0, 10),
+        ValueError, "sigma must be finite and positive, got 0.0"),
+    "wishart KL nan noise": (
+        lambda: models.kl_spiked_wishart(_frame(6, 1), _frame(6, 1), 3.0, math.nan, 10),
+        ValueError, "sigma must be finite and positive, got nan"),
+    "wishart KL negative sample count": (
+        lambda: models.kl_spiked_wishart(_frame(6, 1), _frame(6, 1), 3.0, 1.0, -10),
+        ValueError, "n must be finite and positive, got -10"),
+    "denoising KL short spectrum": (
+        lambda: models.kl_denoising_fixed(_frame(5, 2), _frame(5, 2, 1), _frame(4, 2),
+                                          SpectrumSpec.flat(3.0, 1), 1.0),
+        DimensionMismatch, "spectrum of length 1 for rank 2"),
+    "denoising KL zero noise": (
+        lambda: models.kl_denoising_fixed(_frame(5, 1), _frame(5, 1, 1), _frame(4, 1),
+                                          SpectrumSpec.flat(3.0, 1), 0.0),
+        ValueError, "sigma must be finite and positive, got 0.0"),
+    "generic KL nan mean": (
+        lambda: models.kl_gaussian_generic([math.nan, 0.0], np.eye(2), np.zeros(2), np.eye(2)),
+        ValueError, "non-finite entries"),
+    "generic KL matrix mean": (
+        lambda: models.kl_gaussian_generic(np.zeros((2, 2)), np.eye(4), np.zeros((2, 2)),
+                                           np.eye(4)),
+        DimensionMismatch, "mean/covariance shapes are inconsistent"),
 }
 
 

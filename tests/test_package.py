@@ -169,3 +169,31 @@ def test_benchmark_read_interface():
     est = entropy.dudley_estimate(cset, constraints.random_member(cset, 0),
                                   epsilon_grid=[0.5, 1.0], budget=5, seed=1)
     assert est.budget == 5 and len(est.log_covering) == 2
+
+
+def test_every_import_is_used():
+    # a deletion takes its imports with it; __init__ imports to re-export
+    package = pathlib.Path(subspace_est.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [(path.name, alias.name) for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []
+
+
+def test_each_computation_has_one_copy():
+    # one entry per estimator method, one least-squares routine for rate
+    # fits, one argument rule for the entropy estimates
+    assert not hasattr(estimators, "spectral_estimate")
+    assert not hasattr(estimators, "exhaustive_argmax")
+    assert not hasattr(harness, "_segment_sse")
+    assert not hasattr(entropy, "_check_budget")
+    assert not hasattr(entropy, "_check_scales")
