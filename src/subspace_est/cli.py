@@ -290,6 +290,9 @@ def _cmd_entropy(resolved: dict) -> dict:
     cset = constraints.parse_constraint(resolved["constraint"], resolved["p"],
                                         resolved["r"])
     center = constraints.random_member(cset, resolved["seed"])
+    if resolved["grid_points"] < 2:
+        raise ValueError(
+            f"need two or more distinct epsilon scales, got {resolved['grid_points']}")
     grid = np.geomspace(eps_min, eps_max, resolved["grid_points"])
     estimate = entropy.dudley_estimate(cset, center, epsilon_grid=grid,
                                        budget=resolved["budget"],

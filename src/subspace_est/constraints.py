@@ -1,9 +1,9 @@
 """Constraint sets for frames: sparsity, non-negativity, subspace, sign vectors.
 
-Each set lives inside the orthonormal p x r frames.  `project_batch` maps
-every slice of a stack of matrices to a member and `project` is its one-slice
-case, `contains` tests membership, and `random_members` draws a stack of
-members for Monte Carlo work, with `random_member` its one-slice case.
+Each set lives inside the orthonormal p x r frames and is stated once, by
+`project_batch`, which maps every slice of a stack to a member (`project`
+is its one-slice case); `contains` is its fixed point, and `random_members`
+projects raw draws for Monte Carlo work (`random_member`: one slice).
 Non-negative orthonormal columns have disjoint supports, so for r > 1 the
 non-negative projection searches over row-to-column assignments.
 `ConstraintSet.rate_term` gives the set's entropy term in the minimax rate.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch
+from .errors import DegenerateInput, DimensionMismatch, RankDeficient
 from .geometry import (OrthonormalFrame, _as_frame, _as_matrix, _orthonormal_or_raise,
                        frobenius_norms, orthonormalize_batch)
 
@@ -34,6 +34,8 @@ _ARGUMENTS = {SPARSE: "k", SUBSPACE: "qfile"}
 
 # a non-negative assignment move must gain more than this share of the value
 _MOVE_RTOL = 1e-12
+# a frame is a member where its projection moves no entry by more than this
+_MEMBER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -110,20 +112,12 @@ def unconstrained(p: int, r: int) -> ConstraintSet:
     return ConstraintSet(UNCONSTRAINED, p, r)
 
 
-def contains(cset: ConstraintSet, frame: OrthonormalFrame, tol: float = 1e-8) -> bool:
-    """Membership test at entrywise tolerance tol (arrays must pass as frames)."""
+def contains(cset: ConstraintSet, frame: OrthonormalFrame) -> bool:
+    """Whether project_batch maps the frame (an array must pass as one) to
+    a member within _MEMBER_TOL of it, entry by entry."""
     m = _as_frame(frame, (cset.p, cset.r)).values
-    if cset.kind == UNCONSTRAINED:
-        return True
-    if cset.kind == SPARSE:
-        return bool(np.sum(np.any(np.abs(m) > tol, axis=1)) <= cset.k)
-    if cset.kind == NONNEG:
-        return bool(np.min(m) >= -tol)
-    if cset.kind == SUBSPACE:
-        q = cset.basis.values
-        return bool(np.max(np.abs(m - q @ (q.T @ m))) <= tol)
-    # signs
-    return bool(np.max(np.abs(np.abs(m) - 1.0 / np.sqrt(cset.p))) <= tol)
+    members, ok = project_batch(cset, m[None])
+    return bool(ok[0] and np.max(np.abs(members[0] - m)) <= _MEMBER_TOL)
 
 
 def _project_nonneg_rank_one(stack: np.ndarray) -> np.ndarray:
@@ -249,13 +243,14 @@ def project_batch(cset: ConstraintSet, stack) -> tuple:
     maps NaN to -1/sqrt(p).  Each slice comes out bit for bit as a call on
     that slice alone.
 
-    Rules per kind: "signs" takes entrywise signs (with sign(0) := +1) over
-    sqrt(p); "subspace" re-orthonormalizes the basis-plane projection;
-    "none" re-orthonormalizes; "sparse" keeps the k rows of largest Euclidean
-    norm (a shared-support reduction) and re-orthonormalizes the surviving
-    block; "nonneg" clips negatives for r = 1, and for r > 1 gives each row
-    to one column by improving single-row moves (_project_nonneg_stack), so
-    a member comes back as itself up to rounding.
+    These rules state each set, and contains and random_members derive
+    from them.  "signs" takes entrywise signs (sign(0) := +1) over sqrt(p);
+    "subspace" re-orthonormalizes the basis-plane projection; "none"
+    re-orthonormalizes; "sparse" keeps the k rows of largest Euclidean norm
+    (a shared-support reduction) and re-orthonormalizes the surviving block;
+    "nonneg" clips negatives for r = 1, and for r > 1 gives each row to one
+    column by improving single-row moves (_project_nonneg_stack), so a
+    member comes back as itself up to rounding.
     """
     s = np.asarray(stack, dtype=float)
     if s.ndim != 3 or s.shape[1:] != (cset.p, cset.r):
@@ -308,35 +303,32 @@ def random_members(cset: ConstraintSet, seed, count: int) -> np.ndarray:
 
     Slice i is bit for bit the i-th of count consecutive random_member draws
     on the same generator, so a draw split into blocks on one generator
-    equals one call.  Draws are Haar where the set is rotation invariant,
-    else a natural seeded surrogate: a uniform support with a Haar block
-    ("sparse"), fair signs ("signs"), or projected absolute Gaussians
-    ("nonneg"; for r > 1 the projection is the row-to-column assignment
-    search).  Gaussian draws and signs come from one generator call each;
-    sparse supports are drawn slice by slice.  Raises RankDeficient where a
-    draw has no member.
+    equals one call.  Every kind but "subspace" draws a raw stack and maps
+    it through one project_batch call: fair signs ("signs"), Gaussians on a
+    uniform support of k rows ("sparse", a Haar block there), absolute
+    Gaussians ("nonneg") or Gaussians ("none", Haar).  "subspace" maps a
+    Haar k x r block through its basis.  Gaussian draws and signs come from
+    one generator call each; sparse supports are drawn slice by slice, each
+    before its normals.  Raises RankDeficient where a draw has no member.
     """
     rng = as_generator(seed)
     p, r = cset.p, cset.r
-    if cset.kind == SIGNS:
-        s = rng.integers(0, 2, size=(count, p)) * 2.0 - 1.0
-        return s[:, :, None] / np.sqrt(p)
-    if cset.kind == SPARSE:
-        supports = np.empty((count, cset.k), dtype=np.intp)
-        blocks = np.empty((count, cset.k, r))
-        for i in range(count):
-            supports[i] = np.sort(rng.choice(p, size=cset.k, replace=False))
-            blocks[i] = rng.standard_normal((cset.k, r))
-        blocks = _orthonormal_or_raise(blocks)
-        out = np.zeros((count, p, r))
-        np.put_along_axis(out, supports[:, :, None], blocks, axis=1)
-        return out
-    if cset.kind == UNCONSTRAINED:
-        return _orthonormal_or_raise(rng.standard_normal((count, p, r)))
     if cset.kind == SUBSPACE:
         inner = _orthonormal_or_raise(rng.standard_normal((count, cset.basis.r, r)))
         return cset.basis.values @ inner
-    return project_batch(cset, np.abs(rng.standard_normal((count, p, r))))[0]
+    if cset.kind == SIGNS:
+        raw = rng.integers(0, 2, size=(count, p, r)) * 2.0 - 1.0
+    elif cset.kind == SPARSE:
+        raw = np.zeros((count, p, r))
+        for i in range(count):
+            support = np.sort(rng.choice(p, size=cset.k, replace=False))
+            raw[i, support] = rng.standard_normal((cset.k, r))
+    else:
+        raw = rng.standard_normal((count, p, r))
+    members, ok = project_batch(cset, np.abs(raw) if cset.kind == NONNEG else raw)
+    if not ok.all():
+        raise RankDeficient("matrix has (numerically) dependent columns")
+    return members
 
 
 def random_member(cset: ConstraintSet, seed) -> OrthonormalFrame:

@@ -263,7 +263,7 @@ def estimate_batch(ms: np.ndarray, cset: constraints.ConstraintSet,
         frames = _spectral_members(ms, cset)
     else:
         n = cset.p
-        if cset.kind != constraints.SIGNS:
+        if cset != constraints.signs(cset.p):
             raise DimensionMismatch("exhaustive search only covers sign vectors")
         if n > _EXHAUSTIVE_LIMIT:
             raise TooLarge(f"2^{n - 1} sign patterns exceed the n = {_EXHAUSTIVE_LIMIT} cap")

@@ -78,8 +78,11 @@ class ModelSpec:
                   if name not in reads and getattr(self, name) is not None]
         if unread:
             raise ValueError(f"{self.family} does not read {', '.join(unread)}")
-        if not all(getattr(self, name) for name in reads):
-            raise DimensionMismatch(f"{self.family} needs {' and '.join(reads)}")
+        missing = [f"{name}={getattr(self, name)}" for name in reads
+                   if (getattr(self, name) or 0) < 1]
+        if missing:
+            raise DimensionMismatch(
+                f"{self.family} needs {' and '.join(reads)} >= 1, got {', '.join(missing)}")
         if self.rank > min(getattr(self, name) for name in frames):
             raise DimensionMismatch(f"rank exceeds {' or '.join(frames)}")
         if self.family == CLUSTERING and self.rank != 1:
@@ -145,7 +148,7 @@ def sample_instance(spec: ModelSpec, cset: constraints.ConstraintSet,
     rng = constraints.as_generator(spec.seed, trial_index)
     if truth_frame is not None:
         truth = _as_frame(truth_frame)
-        if not constraints.contains(cset, truth, tol=1e-8):
+        if not constraints.contains(cset, truth):
             raise ConstraintViolation("truth_frame is not a member of the constraint")
     else:
         truth = constraints.random_member(cset, rng)

@@ -455,12 +455,20 @@ def test_settings_that_would_mean_something_else_exit_two(tmp_path, capsys):
          "init_seed must be non-negative, got -5"),
         ([*ent, "--seed", "-1"], "seed must be non-negative, got -1"),
         ([*ent, "--eps-min", "2", "--eps-max", "0.1"], "eps_min 2.0 exceeds eps_max 0.1"),
+        ([*ent, "--grid-points", "-1"], "need two or more distinct epsilon scales, got -1"),
     ]
     for index, (argv, message) in enumerate(cases):
         out = tmp_path / f"out{index}"
         assert main([*argv, "--out", str(out)]) == 2, argv
         assert not out.exists(), argv
-        assert f"ValueError: {message}" in capsys.readouterr().err, argv
+        err = capsys.readouterr().err
+        assert f"ValueError: {message}" in err, argv
+        assert "Number of samples" not in err, argv  # numpy's own refusal
+    # a model dimension below 1 is refused by its value, not as a rank excess
+    out = tmp_path / "negative"
+    assert main(["risk", *model[:2], "--p", "-6", *model[4:], "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "DimensionMismatch: wigner needs p >= 1, got p=-6" in capsys.readouterr().err
 
 
 _SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")

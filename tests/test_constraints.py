@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -12,7 +13,7 @@ from subspace_est.constraints import (ConstraintSet, as_generator, contains,
                                       random_member, random_members, signs,
                                       sparse, subspace, unconstrained)
 from subspace_est.errors import DegenerateInput, DimensionMismatch
-from subspace_est.geometry import (OrthonormalFrame, orthonormalize,
+from subspace_est.geometry import (OrthonormalFrame, _as_frame, orthonormalize,
                                    orthonormalize_batch, subspace_distance)
 from subspace_est.matio import write_matrix
 
@@ -240,6 +241,103 @@ def test_sparse_contains_counts_support_rows():
     assert contains(sparse(6, 2, 4), split)
     with pytest.raises(DegenerateInput):
         project(sparse(6, 2, 2), split)
+
+
+def _reference_contains(cset, frame, tol=1e-8):
+    """The per-kind membership rules contains used before it became the
+    projection's fixed point, verbatim."""
+    m = _as_frame(frame, (cset.p, cset.r)).values
+    if cset.kind == constraints.UNCONSTRAINED:
+        return True
+    if cset.kind == constraints.SPARSE:
+        return bool(np.sum(np.any(np.abs(m) > tol, axis=1)) <= cset.k)
+    if cset.kind == constraints.NONNEG:
+        return bool(np.min(m) >= -tol)
+    if cset.kind == constraints.SUBSPACE:
+        q = cset.basis.values
+        return bool(np.max(np.abs(m - q @ (q.T @ m))) <= tol)
+    # signs
+    return bool(np.max(np.abs(np.abs(m) - 1.0 / np.sqrt(cset.p))) <= tol)
+
+
+def test_contains_agrees_with_the_per_kind_rules():
+    # on members drawn and projected, on generic frames and on the
+    # rejection cases above, for every kind at r = 1 to 3
+    basis = _haar(12, 5, 21)
+    rng = np.random.default_rng(30)
+    csets = [signs(16)] + [cset for r in (1, 2, 3) for cset in (
+        sparse(12, r, 5), nonneg(9, r), subspace(basis, r), unconstrained(7, r))]
+    split = np.zeros((6, 2))
+    split[[0, 1], 0] = split[[2, 3], 1] = 1.0 / np.sqrt(2.0)
+    cases = [(sparse(12, 2, 3), _haar(12, 2, 8)), (nonneg(6, 2), _haar(6, 2, 9)),
+             (subspace(_haar(12, 4, 10), 2), _haar(12, 2, 8)),
+             (signs(5), np.eye(5)[:, :1]), (sparse(6, 2, 2), split), (sparse(6, 2, 4), split)]
+    for cset in csets:
+        members, ok = project_batch(cset, rng.standard_normal((20, cset.p, cset.r)))
+        frames = [*random_members(cset, 3, 20), *members[ok],
+                  *(_haar(cset.p, cset.r, seed) for seed in range(5))]
+        cases += [(cset, frame) for frame in frames]
+    for cset, frame in cases:
+        assert contains(cset, frame) == _reference_contains(cset, frame), cset.kind
+
+
+def test_contains_agrees_with_the_per_kind_rules_at_the_tolerance():
+    # a member moved by tol / 2 or 2 tol where the move keeps it a frame:
+    # sparse in a row outside the support, nonneg in a row that is zero in
+    # every column, subspace along a direction orthogonal to the basis
+    # (scaled to a largest entry of 1); a sign vector cannot move by 1e-8
+    # and stay a frame
+    tol = 1e-8
+    basis = _haar(12, 5, 21)
+    rng = np.random.default_rng(31)
+    for r in (1, 2, 3):
+        member = random_members(sparse(12, r, 5), 11, 1)[0]
+        step = np.zeros((12, r))
+        step[np.flatnonzero(~np.any(member, axis=1))[0], r - 1] = 1.0
+        cases = [(sparse(12, r, 5), member, step)]
+        member = np.vstack([random_members(nonneg(8, r), 11, 1)[0], np.zeros((1, r))])
+        step = np.zeros((9, r))
+        step[8, r - 1] = 1.0
+        cases.append((nonneg(9, r), member, step))
+        cset = subspace(basis, r)
+        w = rng.standard_normal(12)
+        w -= basis.values @ (basis.values.T @ w)
+        step = np.zeros((12, r))
+        step[:, 0] = w / np.max(np.abs(w))
+        cases.append((cset, random_members(cset, 11, 1)[0], step))
+        for cset, member, step in cases:
+            for size in (-2 * tol, -tol / 2, tol / 2, 2 * tol):
+                frame = OrthonormalFrame(member + size * step)
+                want = abs(size) < tol or (cset.kind == "nonneg" and size > 0)
+                assert contains(cset, frame) == _reference_contains(cset, frame) == want, (
+                    cset.kind, r, size)
+
+
+# sha256 of random_members(cset, seed, 40).tobytes(), first 16 hex digits,
+# at seeds 0 and 5
+_DRAW_DIGESTS = {
+    "sparse r=1": ("67d943b3eed106fa", "e6148acb31da977d"),
+    "sparse r=2": ("62310942bc67e43f", "bb7430c4b4f6ef11"),
+    "nonneg r=1": ("69915db12f29332e", "27763372a33529cc"),
+    "nonneg r=3": ("f1edcda4a449cc63", "a110946be05d954c"),
+    "subspace": ("edc2e620d16cdb2e", "1c230c90496426c9"),
+    "signs": ("90f5f9877889fd3e", "22cf3013a072056f"),
+    "none": ("9e8dd19324a900fc", "5370f6e7a7516217"),
+}
+
+
+def test_random_members_draw_bytes():
+    # each kind's draws are pinned to the bit: a reordered draw, such as a
+    # sparse support drawn after its normals, changes them
+    basis = _haar(12, 5, 21)
+    csets = {"sparse r=1": sparse(12, 1, 5), "sparse r=2": sparse(12, 2, 5),
+             "nonneg r=1": nonneg(9, 1), "nonneg r=3": nonneg(9, 3),
+             "subspace": subspace(basis, 2), "signs": signs(16),
+             "none": unconstrained(7, 3)}
+    got = {name: tuple(hashlib.sha256(random_members(cset, seed, 40).tobytes()).hexdigest()[:16]
+                       for seed in (0, 5))
+           for name, cset in csets.items()}
+    assert got == _DRAW_DIGESTS
 
 
 @st.composite

@@ -28,9 +28,9 @@ def test_model_spec_validation():
                             spectrum=SpectrumSpec.flat(3.0, 2), noise_sd=1.0,
                             seed=0, n=30, p=6)
     assert spec.frame_dim == 6
-    # a sample covariance needs two rows
-    for n in (1, -4):
-        with pytest.raises(ValueError):
+    # a sample covariance needs two rows; a negative count is no row count
+    for n, error in ((1, ValueError), (-4, DimensionMismatch)):
+        with pytest.raises(error):
             models.ModelSpec(family="wishart",
                              spectrum=SpectrumSpec.flat(3.0, 1), noise_sd=1.0,
                              seed=0, n=n, p=6)
@@ -297,6 +297,23 @@ _SHAPE_REFUSALS = {
                           "seed must fit in 64 bits"),
     "rank above the frame": (lambda: _wigner(p=3, r=4), DimensionMismatch,
                              "rank exceeds p"),
+    # a dimension below 1 is refused as missing, by its value
+    "negative denoising rows": (
+        lambda: models.ModelSpec("denoising", SpectrumSpec.flat(3.0, 1), 1.0, seed=0,
+                                 p1=-5, p2=10),
+        DimensionMismatch, "denoising needs p1 and p2 >= 1, got p1=-5"),
+    "negative clustering count": (
+        lambda: models.ModelSpec("clustering", SpectrumSpec.flat(3.0, 1), 1.0, seed=0,
+                                 n=-4, p=10),
+        DimensionMismatch, "clustering needs n and p >= 1, got n=-4"),
+    "negative wishart rows": (
+        lambda: models.ModelSpec("wishart", SpectrumSpec.flat(3.0, 1), 1.0, seed=0,
+                                 p=10, n=-3),
+        DimensionMismatch, "wishart needs n and p >= 1, got n=-3"),
+    "zero wigner dimension": (lambda: _wigner(p=0), DimensionMismatch,
+                              "wigner needs p >= 1, got p=0"),
+    "missing wigner dimension": (lambda: _wigner(p=None), DimensionMismatch,
+                                 "wigner needs p >= 1, got p=None"),
     "constraint of another ambient": (
         lambda: models.sample_instance(_wigner(), constraints.unconstrained(7, 1)),
         DimensionMismatch, "constraint ambient 7 x 1 does not match model"),

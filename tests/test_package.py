@@ -27,6 +27,21 @@ def test_only_models_branches_on_family():
     assert not offenders
 
 
+def test_only_constraints_compares_kinds():
+    # a constraint set is stated once, by its projection in constraints;
+    # other modules compare whole sets, never their kinds
+    package = pathlib.Path(subspace_est.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "constraints.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "kind" for n in ast.walk(node)):
+                offenders.append((path.name, node.lineno))
+    assert offenders == []
+
+
 def _calls(node, names):
     """Names of the calls below node of a function in names."""
     callees = (getattr(n.func, "attr", None) or getattr(n.func, "id", None)
